@@ -7,7 +7,10 @@ bytes; it corrects up to ``t`` symbol errors, or any mix of ``e`` errors and
 supported by the standard zero-prefix construction.
 
 The decode path is the classical chain: syndromes -> erasure locator ->
-Berlekamp-Massey (errata-aware) -> Chien search -> Forney magnitudes.
+Berlekamp-Massey (errata-aware) -> Chien search -> Forney magnitudes, run on
+plain int lists through the flat GF(2^8) log/antilog tables (inputs are
+validated once, at :meth:`ReedSolomonCodec.decode`), with numpy table
+gathers for the syndromes and for evaluating polynomials at every position.
 
 ColorBars dimensions the code from the inter-frame loss ratio (paper §5);
 :func:`rs_params_for_loss` implements that sizing rule.
@@ -15,19 +18,21 @@ ColorBars dimensions the code from the inter-frame loss ratio (paper §5);
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ReedSolomonError, UncorrectableBlockError
-from repro.fec.gf256 import GF256
+from repro.fec.gf256 import _EXP, _LOG, GF256
 from repro.fec.polynomial import GFPolynomial
 
-#: Log/antilog tables as numpy arrays for the vectorized syndrome pass.
-_EXP_TABLE = np.array([GF256.exp(p) for p in range(GF256.order)], dtype=np.uint8)
+#: Log/antilog tables as numpy arrays for the vectorized syndrome pass,
+#: Chien search and Forney magnitudes (``_LOG_TABLE[0]`` is a placeholder).
+_EXP_TABLE = np.array(_EXP[: GF256.order], dtype=np.uint8)
 _EXP_TABLE.flags.writeable = False
-_LOG_TABLE = np.array([0] + [GF256.log(v) for v in range(1, GF256.size)], dtype=np.int64)
+_LOG_TABLE = np.array(_LOG, dtype=np.int64)
 _LOG_TABLE.flags.writeable = False
 
 
@@ -192,33 +197,38 @@ class ReedSolomonCodec:
     def decode(
         self,
         received: bytes,
-        erasure_positions: Optional[Sequence[int]] = None,
+        erasure_positions: Optional[Iterable[int]] = None,
     ) -> bytes:
         """Decode one codeword, correcting errors and the given erasures.
 
         ``erasure_positions`` are indices into ``received`` whose values are
         known to be unreliable (e.g. symbols lost in the inter-frame gap and
-        filled with zeros).  Raises :class:`UncorrectableBlockError` when the
-        errata exceed the code's capability.
+        filled with zeros); any iterable of integers works, numpy arrays
+        included.  Raises :class:`UncorrectableBlockError` when the errata
+        exceed the code's capability.
         """
         if len(received) != self.n:
             raise ReedSolomonError(
                 f"decode expects exactly n={self.n} bytes, got {len(received)}"
             )
-        erasures = sorted(set(erasure_positions or ()))
-        for pos in erasures:
-            if not 0 <= pos < self.n:
-                raise ReedSolomonError(
-                    f"erasure position {pos} outside codeword of length {self.n}"
-                )
+        try:
+            codeword = list(bytes(received))
+        except (TypeError, ValueError) as exc:
+            raise ReedSolomonError(
+                f"received symbols must be bytes in [0, 255]: {exc}"
+            ) from exc
+        erasures = sorted(
+            {self._erasure_position(pos) for pos in erasure_positions}
+            if erasure_positions is not None
+            else ()
+        )
         if len(erasures) > self.num_parity:
             raise UncorrectableBlockError(
                 f"{len(erasures)} erasures exceed parity budget {self.num_parity}"
             )
 
-        codeword = list(received)
         syndromes = self._syndromes(codeword)
-        if all(s == 0 for s in syndromes):
+        if not any(syndromes):
             return bytes(codeword[: self.k])
 
         corrected = self._correct(codeword, syndromes, erasures)
@@ -227,7 +237,7 @@ class ReedSolomonCodec:
     def decode_blocks(
         self,
         blocks: Sequence[bytes],
-        erasure_map: Optional[Sequence[Sequence[int]]] = None,
+        erasure_map: Optional[Sequence[Iterable[int]]] = None,
     ) -> bytes:
         """Decode a sequence of codewords and concatenate the payloads."""
         if erasure_map is not None and len(erasure_map) != len(blocks):
@@ -242,38 +252,49 @@ class ReedSolomonCodec:
         return bytes(out)
 
     # -- decoder internals ---------------------------------------------------
+    #
+    # Everything below runs on validated plain ints: codeword symbols are
+    # bytes and positions are checked by decode(), so field products go
+    # straight through the flat log/antilog tables of repro.fec.gf256
+    # (``_EXP`` is doubled, so ``_EXP[log a + log b]`` needs no modulo).
+    # Polynomials are int lists indexed by power (``poly[i]`` multiplies
+    # ``x^i``).  Positions index the codeword from its start; the location
+    # exponent counts from its end (degree n-1 is position 0), so position
+    # ``p`` has locator ``X = alpha^(n-1-p)``.
+
+    def _erasure_position(self, pos: object) -> int:
+        try:
+            position = operator.index(pos)
+        except TypeError:
+            raise ReedSolomonError(
+                f"erasure position {pos!r} is not an integer"
+            ) from None
+        if not 0 <= position < self.n:
+            raise ReedSolomonError(
+                f"erasure position {position} outside codeword of length {self.n}"
+            )
+        return int(position)
 
     def _syndromes(self, codeword: List[int]) -> List[int]:
-        # S_i = C(alpha^(FIRST_ROOT+i)).  Expanding Horner's rule, the term
-        # for coefficient c_j of degree d_j contributes
-        # exp(log c_j + d_j * (FIRST_ROOT + i)), and field addition is XOR —
-        # one (num_parity, nonzero-terms) table gather per codeword instead
-        # of num_parity Python Horner loops.
-        coeffs = np.asarray(codeword, dtype=np.int64)
-        degrees = np.arange(len(codeword) - 1, -1, -1, dtype=np.int64)
-        nonzero = coeffs != 0
-        if not nonzero.any():
-            return [0] * self.num_parity
-        logs = _LOG_TABLE[coeffs[nonzero]]
-        degrees = degrees[nonzero]
-        roots = np.arange(
-            self.FIRST_ROOT, self.FIRST_ROOT + self.num_parity, dtype=np.int64
-        )
-        exponents = (logs[np.newaxis, :] + degrees[np.newaxis, :] * roots[:, np.newaxis]) % GF256.order
-        terms = _EXP_TABLE[exponents]
-        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+        # S_i = C(alpha^(FIRST_ROOT+i)); the codeword lists its coefficients
+        # highest degree first.
+        roots = np.arange(self.FIRST_ROOT, self.FIRST_ROOT + self.num_parity)
+        return _evaluate_at_powers(codeword[::-1], roots).tolist()
 
-    def _erasure_locator(self, erasures: Sequence[int]) -> GFPolynomial:
-        # Positions are indexed from the start of the codeword; the location
-        # exponent counts from the end (degree n-1 term is position 0).
-        locator = GFPolynomial.one()
+    def _erasure_locator(self, erasures: Sequence[int]) -> List[int]:
+        """Gamma(x) = prod over erasures of (1 + X_j x)."""
+        locator = [1]
         for pos in erasures:
-            exponent = self.n - 1 - pos
-            locator = locator * GFPolynomial([GF256.exp(exponent), 1])
+            x_log = self.n - 1 - pos
+            shifted = [0] + [
+                _EXP[_LOG[c] + x_log] if c else 0 for c in locator
+            ]
+            locator.append(0)
+            locator = [a ^ b for a, b in zip(locator, shifted)]
         return locator
 
     def _forney_syndromes(
-        self, syndromes: List[int], erasure_locator: GFPolynomial, num_erasures: int
+        self, syndromes: List[int], erasure_locator: List[int]
     ) -> List[int]:
         """Modified syndromes that see only the *errors*, not the erasures.
 
@@ -281,55 +302,58 @@ class ReedSolomonCodec:
         ``Xi = Gamma * S mod x^2t`` has coefficients ``Xi_f .. Xi_{2t-1}``
         forming a syndrome sequence for the unknown error positions alone.
         """
-        syndrome_poly = GFPolynomial(list(reversed(syndromes)) or [0])
-        xi = (erasure_locator * syndrome_poly) % GFPolynomial.monomial(
-            1, self.num_parity
-        )
-        return [xi.coefficient(j) for j in range(num_erasures, self.num_parity)]
+        num_erasures = len(erasure_locator) - 1
+        xi = _mul_truncated(erasure_locator, syndromes, self.num_parity)
+        return xi[num_erasures:]
 
     @staticmethod
-    def _berlekamp_massey(sequence: List[int]) -> Tuple[GFPolynomial, int]:
+    def _berlekamp_massey(sequence: List[int]) -> Tuple[List[int], int]:
         """Textbook Berlekamp-Massey: shortest LFSR generating ``sequence``.
 
-        Returns the connection polynomial C(x) = 1 + C_1 x + ... and its
-        LFSR length L.
+        Returns the connection polynomial C(x) = 1 + C_1 x + ... (trailing
+        zero coefficients possible) and its LFSR length L.
         """
-        c = GFPolynomial.one()
-        b_poly = GFPolynomial.one()
+        c = [1]
+        b_poly = [1]
         length = 0
         m = 1
-        b = 1
+        b_log = 0
         for n, s_n in enumerate(sequence):
             discrepancy = s_n
-            for i in range(1, length + 1):
-                discrepancy ^= GF256.mul(c.coefficient(i), sequence[n - i])
+            for i in range(1, min(length, len(c) - 1) + 1):
+                c_i = c[i]
+                s_i = sequence[n - i]
+                if c_i and s_i:
+                    discrepancy ^= _EXP[_LOG[c_i] + _LOG[s_i]]
             if discrepancy == 0:
                 m += 1
-            elif 2 * length <= n:
-                previous_c = c
-                c = c + b_poly.scale(GF256.div(discrepancy, b)).shift(m)
+                continue
+            # c(x) - (d / b) x^m B(x)
+            scale_log = (_LOG[discrepancy] - b_log) % GF256.order
+            updated = c + [0] * (len(b_poly) + m - len(c))
+            for j, b_j in enumerate(b_poly):
+                if b_j:
+                    updated[j + m] ^= _EXP[_LOG[b_j] + scale_log]
+            if 2 * length <= n:
+                b_poly = c
                 length = n + 1 - length
-                b_poly = previous_c
-                b = discrepancy
+                b_log = _LOG[discrepancy]
                 m = 1
             else:
-                c = c + b_poly.scale(GF256.div(discrepancy, b)).shift(m)
                 m += 1
+            c = updated
         return c, length
 
-    def _chien_search(self, locator: GFPolynomial) -> List[int]:
+    def _chien_search(self, locator: List[int]) -> List[int]:
         """Return errata positions (indices into the codeword)."""
-        positions: List[int] = []
-        for position in range(self.n):
-            exponent = self.n - 1 - position
-            # X_i = alpha^exponent; roots of the locator are X_i^{-1}.
-            value = locator.evaluate(GF256.inverse(GF256.exp(exponent)))
-            if value == 0:
-                positions.append(position)
-        if len(positions) != locator.degree:
+        # Position p is a root when locator(X_p^-1) = 0, X_p^-1 = alpha^(p-n+1).
+        values = _evaluate_at_powers(locator, np.arange(self.n) - (self.n - 1))
+        positions = np.flatnonzero(values == 0).tolist()
+        degree = _degree(locator)
+        if len(positions) != degree:
             raise UncorrectableBlockError(
                 f"Chien search found {len(positions)} roots for a locator of "
-                f"degree {locator.degree}; block is uncorrectable"
+                f"degree {degree}; block is uncorrectable"
             )
         return positions
 
@@ -340,40 +364,81 @@ class ReedSolomonCodec:
         erasures: Sequence[int],
     ) -> List[int]:
         erasure_locator = self._erasure_locator(erasures)
-        error_syndromes = self._forney_syndromes(
-            syndromes, erasure_locator, len(erasures)
-        )
+        error_syndromes = self._forney_syndromes(syndromes, erasure_locator)
         error_locator, lfsr_length = self._berlekamp_massey(error_syndromes)
         if lfsr_length > (self.num_parity - len(erasures)) // 2:
             raise UncorrectableBlockError(
                 f"{lfsr_length} errors plus {len(erasures)} erasures exceed the "
                 f"capability of parity {self.num_parity}"
             )
-        locator = error_locator * erasure_locator
+        locator = _mul_truncated(
+            error_locator, erasure_locator, len(error_locator) + len(erasures)
+        )
         positions = self._chien_search(locator)
 
         # Forney with first root b = 0: the error magnitude at location X_i is
         # X_i^(1-b) * Omega(X_i^-1) / Lambda'(X_i^-1) = X_i * Omega / Lambda'.
-        syndrome_poly = GFPolynomial(list(reversed(syndromes)) or [0])
-        omega = (syndrome_poly * locator) % GFPolynomial.monomial(1, self.num_parity)
-        derivative = locator.derivative()
+        # The formal derivative keeps the odd-power terms (characteristic 2).
+        omega = _mul_truncated(syndromes, locator, self.num_parity)
+        derivative = [c if power % 2 else 0 for power, c in enumerate(locator)][1:]
 
-        for position in positions:
-            exponent = self.n - 1 - position
-            x_i = GF256.exp(exponent)
-            x_inverse = GF256.inverse(x_i)
-            denominator = derivative.evaluate(x_inverse)
-            if denominator == 0:
-                raise UncorrectableBlockError(
-                    "Forney denominator vanished; block is uncorrectable"
-                )
-            magnitude = GF256.mul(
-                x_i, GF256.div(omega.evaluate(x_inverse), denominator)
+        inverse_logs = np.asarray(positions, dtype=np.int64) - (self.n - 1)
+        denominators = _evaluate_at_powers(derivative, inverse_logs)
+        if not denominators.all():
+            raise UncorrectableBlockError(
+                "Forney denominator vanished; block is uncorrectable"
             )
+        numerators = _evaluate_at_powers(omega, inverse_logs)
+        magnitudes = np.where(
+            numerators != 0,
+            _EXP_TABLE[
+                (_LOG_TABLE[numerators] - _LOG_TABLE[denominators] - inverse_logs)
+                % GF256.order
+            ],
+            0,
+        )
+        for position, magnitude in zip(positions, magnitudes.tolist()):
             codeword[position] ^= magnitude
 
-        if any(s != 0 for s in self._syndromes(codeword)):
+        if any(self._syndromes(codeword)):
             raise UncorrectableBlockError(
                 "residual syndromes after correction; block is uncorrectable"
             )
         return codeword
+
+
+def _degree(poly: List[int]) -> int:
+    """Degree of an index-by-power int polynomial (0 for constants)."""
+    for power in range(len(poly) - 1, 0, -1):
+        if poly[power]:
+            return power
+    return 0
+
+
+def _mul_truncated(a: List[int], b: List[int], terms: int) -> List[int]:
+    """The first ``terms`` coefficients of ``a * b`` (``a * b mod x^terms``)."""
+    product = [0] * terms
+    b_terms = [(j, _LOG[b_j]) for j, b_j in enumerate(b[:terms]) if b_j]
+    for i, a_i in enumerate(a[:terms]):
+        if not a_i:
+            continue
+        a_log = _LOG[a_i]
+        for j, b_log in b_terms:
+            if i + j >= terms:
+                break
+            product[i + j] ^= _EXP[a_log + b_log]
+    return product
+
+
+def _evaluate_at_powers(poly: List[int], exponents: np.ndarray) -> np.ndarray:
+    """``poly(alpha^e)`` for every ``e`` in ``exponents`` (negative allowed).
+
+    Term ``c_p x^p`` at ``alpha^e`` is ``exp(log c_p + e * p)`` and field
+    addition is XOR, so one (len(exponents), nonzero-terms) table gather,
+    XOR-reduced per point, evaluates every point at once.
+    """
+    coeffs = np.asarray(poly, dtype=np.int64)
+    powers = np.flatnonzero(coeffs)
+    logs = _LOG_TABLE[coeffs[powers]]
+    index = logs[np.newaxis, :] + exponents[:, np.newaxis] * powers[np.newaxis, :]
+    return np.bitwise_xor.reduce(_EXP_TABLE[index % GF256.order], axis=1)

@@ -51,54 +51,47 @@ _LAB_OFFSET.flags.writeable = False
 _LAB_TOE_THRESHOLD = (6.0 / 29.0) ** 3
 _LAB_TOE_SCALE = 1.0 / (3.0 * (6.0 / 29.0) ** 2)
 _LAB_TOE_OFFSET = 4.0 / 29.0
-#: Frames per chunk of the fused conversion loop (cache blocking).
+#: Frames per chunk of the batched conversion (cache blocking): bounds the
+#: working set of :func:`frames_to_scanline_lab` by a chunk, not a recording.
 _CHUNK_FRAMES = 4
 
 
 def _scanlines_from_pixels(pixels: np.ndarray, smooth_rows: int) -> np.ndarray:
-    """sRGB bytes ``(..., rows, cols, 3)`` -> scanline Lab ``(..., rows, 3)``.
+    """sRGB bytes ``(frames, rows, cols, 3)`` -> scanline Lab ``(frames, rows, 3)``.
 
-    The shared core of the single-frame and batched entry points: gamma
+    The per-chunk core of the single-frame and batched entry points: gamma
     decode by byte lookup, one fused RGB->XYZ/white matmul, the Lab cube
     root, one Lab-mixing matmul, column mean, box smooth.  Every step is
     elementwise, a per-row matmul, or a per-frame reduction/convolution, so
-    batched and per-frame calls are bitwise identical.
+    a frame's result does not depend on which chunk it shares.  Callers pass
+    at most ``_CHUNK_FRAMES`` frames, which bounds the float32 working set
+    (and the intp index temporary of the byte lookup) by a chunk.
     """
-    rows, cols = pixels.shape[-3:-1]
-    lead = pixels.shape[:-3]
-    frames = int(np.prod(lead)) if lead else 1
+    frames, rows, cols = pixels.shape[:3]
     linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, pixels.reshape(-1, 3))
-    linear = linear.reshape(frames, rows * cols, 3)
-    f_rows = np.empty((frames, rows, 3))
+    ratios = linear @ _RGB_TO_XYZ_RATIOS_F32
+    f = np.cbrt(ratios)
+    toe = ratios <= _LAB_TOE_THRESHOLD
+    ratios *= _LAB_TOE_SCALE
+    ratios += _LAB_TOE_OFFSET
+    np.copyto(f, ratios, where=toe)
     col_weights = np.full(cols, 1.0 / cols, dtype=np.float32)
-    # Frame-sized chunks keep the working set cache-resident; every kernel
-    # is per-frame independent, so chunking cannot change a byte.
-    for lo in range(0, frames, _CHUNK_FRAMES):
-        hi = min(lo + _CHUNK_FRAMES, frames)
-        ratios = linear[lo:hi].reshape(-1, 3) @ _RGB_TO_XYZ_RATIOS_F32
-        f = np.cbrt(ratios)
-        toe = ratios <= _LAB_TOE_THRESHOLD
-        ratios *= _LAB_TOE_SCALE
-        ratios += _LAB_TOE_OFFSET
-        np.copyto(f, ratios, where=toe)
-        f_rows[lo:hi] = np.einsum(
-            "frck,c->frk", f.reshape(hi - lo, rows, cols, 3), col_weights
-        )
+    f_rows = np.einsum(
+        "frck,c->frk", f.reshape(frames, rows, cols, 3), col_weights
+    ).astype(np.float64)
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS
     scanlines += _LAB_OFFSET
-    scanlines = scanlines.reshape(lead + (rows, 3))
     if smooth_rows > 1:
         kernel = np.ones(smooth_rows) / smooth_rows
-        flat_scan = scanlines.reshape(-1, scanlines.shape[-2], 3)
-        smoothed = np.empty_like(flat_scan)
-        for index in range(flat_scan.shape[0]):
+        smoothed = np.empty_like(scanlines)
+        for index in range(frames):
             for channel in range(3):
                 smoothed[index, :, channel] = np.convolve(
-                    flat_scan[index, :, channel], kernel, mode="same"
+                    scanlines[index, :, channel], kernel, mode="same"
                 )
-        scanlines = smoothed.reshape(scanlines.shape)
+        scanlines = smoothed
     return scanlines
 
 
@@ -114,7 +107,7 @@ def frame_to_scanline_lab(
     suppresses scanline-scale pipeline noise; it is narrow relative to the
     10-row minimum band width, so band edges stay sharp enough to segment.
     """
-    return _scanlines_from_pixels(frame.pixels, smooth_rows)
+    return _scanlines_from_pixels(frame.pixels[np.newaxis], smooth_rows)[0]
 
 
 def frames_to_scanline_lab(
@@ -122,9 +115,11 @@ def frames_to_scanline_lab(
 ) -> List[np.ndarray]:
     """Batched :func:`frame_to_scanline_lab` over a same-shape recording.
 
-    One stacked gamma-decode/XYZ/Lab/mean pass over all frames instead of a
-    Python loop of per-frame passes; returns one ``(rows, 3)`` array per
-    frame, bitwise identical to the per-frame results.  All frames must
+    Streams the recording through ``_CHUNK_FRAMES``-frame chunks, stacked
+    straight from the frame list, instead of a Python loop of per-frame
+    passes; returns one ``(rows, 3)`` array per frame, bitwise identical to
+    the per-frame results.  The working set is bounded by one chunk, not by
+    the recording: only the outputs grow with its length.  All frames must
     share a pixel shape (recordings do — fault injectors preserve shapes and
     only ever drop whole frames).
     """
@@ -137,9 +132,11 @@ def frames_to_scanline_lab(
                 f"frames_to_scanline_lab needs one shape, got {shape} "
                 f"and {frame.pixels.shape}"
             )
-    pixels = np.stack([frame.pixels for frame in frames])
-    scanlines = _scanlines_from_pixels(pixels, smooth_rows)
-    return [scanlines[i] for i in range(len(frames))]
+    scanlines: List[np.ndarray] = []
+    for lo in range(0, len(frames), _CHUNK_FRAMES):
+        chunk = np.stack([frame.pixels for frame in frames[lo : lo + _CHUNK_FRAMES]])
+        scanlines.extend(_scanlines_from_pixels(chunk, smooth_rows))
+    return scanlines
 
 
 def scanline_chroma(scanline_lab: np.ndarray) -> np.ndarray:

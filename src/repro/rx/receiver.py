@@ -284,11 +284,14 @@ class ColorBarsReceiver:
     ) -> List[Optional[np.ndarray]]:
         """Batched sRGB -> scanline-Lab over same-shape groups of frames.
 
-        Whole recordings share one pixel shape, so preprocessing runs as a
-        single stacked pass (bitwise identical to per-frame conversion).
-        Frames in a group whose batched conversion raises — or mixed-shape
-        inputs — fall back to ``None`` entries, which ``_segment_frame``
-        preprocesses individually under its per-frame containment.
+        Whole recordings share one pixel shape, so each group streams
+        through :func:`frames_to_scanline_lab` in cache-sized frame chunks
+        stacked straight from the frame list (bitwise identical to
+        per-frame conversion); no whole-recording pixel stack is built, so
+        the working set is one chunk however long the recording.  Frames in
+        a group whose batched conversion raises fall back to ``None``
+        entries, which ``_segment_frame`` preprocesses individually under
+        its per-frame containment.
         """
         results: List[Optional[np.ndarray]] = [None] * len(frames)
         groups: dict = {}

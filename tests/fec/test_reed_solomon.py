@@ -132,6 +132,39 @@ class TestDecodeErasures:
         with pytest.raises(ReedSolomonError):
             codec.decode(word, erasure_positions=[60])
 
+    def test_empty_numpy_erasures(self, codec):
+        data = bytes(range(40))
+        word = bytearray(codec.encode(data))
+        word[7] ^= 0x33
+        erasures = np.array([], dtype=np.int64)
+        assert codec.decode(bytes(word), erasure_positions=erasures) == data
+
+    def test_numpy_array_erasures(self, codec):
+        data = bytes(range(40))
+        word = bytearray(codec.encode(data))
+        erasures = np.array([2, 9, 31, 47])
+        for pos in erasures:
+            word[pos] = 0
+        assert codec.decode(bytes(word), erasure_positions=erasures) == data
+
+    def test_numpy_integer_positions(self, codec):
+        data = bytes(range(40))
+        word = bytearray(codec.encode(data))
+        erasures = [np.int64(5), np.int64(17), np.int32(5)]
+        for pos in erasures:
+            word[pos] = 0
+        assert codec.decode(bytes(word), erasure_positions=erasures) == data
+
+    @pytest.mark.parametrize("position", [1.5, 2.0, "3", np.float64(4.0), None])
+    def test_non_integral_erasure_position(self, codec, position):
+        word = codec.encode(bytes(40))
+        with pytest.raises(ReedSolomonError, match="not an integer"):
+            codec.decode(word, erasure_positions=[0, position])
+
+    def test_received_symbols_validated(self, codec):
+        with pytest.raises(ReedSolomonError, match="bytes in"):
+            codec.decode([0] * 59 + [256])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_capacity_boundary_property(self, seed):
@@ -156,6 +189,15 @@ class TestDecodeBlocks:
         data = bytes(range(120))
         blocks = codec.encode_blocks(data)
         assert codec.decode_blocks(blocks) == data
+
+    def test_numpy_erasure_map(self, codec):
+        data = bytes(range(80))
+        blocks = [bytearray(block) for block in codec.encode_blocks(data)]
+        erasure_map = np.array([[1, 2, 3], [40, 50, 59]])
+        for block, erasures in zip(blocks, erasure_map):
+            for pos in erasures:
+                block[pos] = 0
+        assert codec.decode_blocks(blocks, erasure_map=erasure_map) == data
 
     def test_erasure_map_alignment(self, codec):
         blocks = codec.encode_blocks(bytes(80))

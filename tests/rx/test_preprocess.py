@@ -1,12 +1,17 @@
 """Unit tests for frame preprocessing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.camera.auto_exposure import ExposureSettings
 from repro.camera.frame import CapturedFrame
+from repro.core.config import SystemConfig
+from repro.core.system import make_receiver
 from repro.exceptions import DemodulationError
 from repro.rx.preprocess import (
+    _CHUNK_FRAMES,
     column_color_variance,
     frame_to_scanline_lab,
     frames_to_scanline_lab,
@@ -126,3 +131,68 @@ class TestBatchedScanlines:
         frames = self._frames(count=2) + self._frames(count=1, rows=20)
         with pytest.raises(DemodulationError, match="one shape"):
             frames_to_scanline_lab(frames)
+
+    @pytest.mark.parametrize(
+        "count",
+        [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
+         2 * _CHUNK_FRAMES + 1],
+    )
+    @pytest.mark.parametrize("smooth", [1, 3, 5])
+    def test_chunk_boundaries_bitwise(self, count, smooth):
+        frames = self._frames(count=count, seed=count)
+        batched = frames_to_scanline_lab(frames, smooth_rows=smooth)
+        assert len(batched) == count
+        for frame, scanlines in zip(frames, batched):
+            reference = frame_to_scanline_lab(frame, smooth_rows=smooth)
+            assert scanlines.dtype == reference.dtype
+            assert scanlines.tobytes() == reference.tobytes()
+
+    def test_working_set_bounded_by_a_chunk(self):
+        """Peak memory grows with recording length only by the outputs.
+
+        A whole-recording stack and sRGB gather would add the recording's
+        pixels several times over (intp indices, float32 linear RGB); chunk
+        streaming keeps that to one chunk, so only the ``(rows, 3)`` float64
+        scanline arrays accumulate.
+        """
+        rows, cols, short, long = 3264, 48, 8, 32
+        rng = np.random.default_rng(11)
+        frames = [
+            make_frame(rng.integers(0, 256, size=(rows, cols, 3), dtype=np.uint8))
+            for _ in range(long)
+        ]
+
+        def peak_bytes(recording):
+            tracemalloc.start()
+            try:
+                frames_to_scanline_lab(recording)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        output_bytes = rows * 3 * np.dtype(np.float64).itemsize
+        growth = peak_bytes(frames) - peak_bytes(frames[:short])
+        assert growth <= (long - short + _CHUNK_FRAMES) * output_bytes
+
+
+class TestPreprocessRecording:
+    """The receiver's batch preprocess groups frames by shape and streams
+    each group through chunks; every entry must equal per-frame conversion."""
+
+    def test_mixed_shape_groups_bitwise(self, tiny_device):
+        config = SystemConfig(
+            csk_order=8, symbol_rate=1000, design_loss_ratio=0.25,
+            illumination_ratio=0.8,
+        )
+        receiver = make_receiver(config, tiny_device.timing)
+        rng = np.random.default_rng(21)
+        shapes = [(40, 12, 3), (24, 12, 3), (40, 6, 3)]
+        pattern = [0, 1, 0, 0, 2, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 2]
+        frames = [
+            make_frame(rng.integers(0, 256, size=shapes[group])) for group in pattern
+        ]
+        results = receiver._preprocess_recording(frames)
+        assert len(results) == len(frames)
+        for frame, lab in zip(frames, results):
+            assert lab is not None
+            assert lab.tobytes() == frame_to_scanline_lab(frame).tobytes()
