@@ -347,7 +347,13 @@ class RollingShutterCamera:
         the image pipeline develops all frames in batched numpy passes
         (``capture_path="batched"``, the default) or one frame at a time
         through the same kernels (``"reference"``) — byte-identical by
-        construction and pinned by the equivalence tests.
+        construction and pinned by the equivalence tests.  On the batched
+        path, a recording whose noise plan is too large for the plan memo
+        (e.g. 3 s of Nexus 5 at 48 columns) draws its shot noise on one
+        worker thread while this thread forms the image; the worker is
+        joined before ``record`` returns or raises, and the output is the
+        same bytes either way.  ``duration`` holds ``duration * frame_rate``
+        whole frames, a product within 1e-9 of an integer counting as it.
         """
         require_positive(duration, "duration")
         if frame_jitter_s < 0:

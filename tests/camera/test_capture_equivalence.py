@@ -12,8 +12,10 @@ and timing jitter.
 import numpy as np
 import pytest
 
+from repro.camera import capture
 from repro.camera.auto_exposure import AutoExposure
 from repro.camera.devices import generic_device, iphone_5s, nexus_5
+from repro.camera.noise import SensorNoise
 from repro.camera.sensor import RollingShutterCamera
 from repro.phy.symbols import data_symbol, off_symbol, white_symbol
 from repro.phy.waveform import EXTEND_CYCLE, EXTEND_OFF
@@ -207,3 +209,108 @@ class TestPrnuLifecycle:
         camera.reset(seed=1)
         second = camera.record(waveform, duration=0.1)
         _assert_frames_identical(first, second)
+
+
+# -- draw-ahead (streamed) vs memoized vs reference --------------------------
+
+#: Develop/draw chunk sizes in elements for the tiny device's 16-column
+#: frames (19 200 elements each): 1 frame, 2 frames, an odd size (3 frames
+#: and a remainder), and one chunk larger than any recording here.
+_TINY_FRAME = 400 * 16 * 3
+_CHUNK_SIZES = {
+    "1-frame": _TINY_FRAME,
+    "2-frames": 2 * _TINY_FRAME,
+    "odd": 3 * _TINY_FRAME + 7,
+    "whole": 10**9,
+}
+
+#: Plan-memo caps: 0 sends every recording down the draw-ahead path; the
+#: default memoizes every tiny recording; "mixed" sits between a 0.1 s and
+#: a 0.2 s tiny plan, so the two recordings of a scenario take both paths.
+_CAPS = {"streamed": 0, "memoized": capture._PLAN_CACHE_MAX_BYTES, "mixed": 400_000}
+
+
+def _tiny_camera(path, seed, *, ae_locked=False, **overrides):
+    device = make_tiny_device()
+    ae = AutoExposure()
+    if ae_locked:
+        ae.lock()
+    kwargs = dict(
+        timing=device.timing,
+        response=device.response,
+        noise=device.noise,
+        optics=device.optics,
+        auto_exposure=ae,
+        simulated_columns=16,
+        seed=seed,
+        capture_path=path,
+    )
+    kwargs.update(overrides)
+    return RollingShutterCamera(**kwargs)
+
+
+_SCENARIOS = {
+    "ae-auto": dict(),
+    "ae-locked": dict(ae_locked=True),
+    "awb-off": dict(enable_awb=False),
+    "bayer-off": dict(enable_bayer=False),
+    "no-row-noise": dict(noise=SensorNoise(row_noise=0.0)),
+    "no-prnu": dict(noise=SensorNoise(prnu=0.0)),
+    "prnu-redrawn": dict(reseed_between=True),
+}
+
+
+def _record_twice(camera, waveform, jitter, reseed_between=False):
+    # The first recording draws the PRNU pattern (slot 3); the second
+    # reuses it and starts from the RNG state the first one left — or,
+    # after a reseed, draws a fresh pattern on this later recording.
+    first = camera.record(waveform, duration=0.1, frame_jitter_s=jitter)
+    if reseed_between:
+        camera.reset(seed=9)
+        assert camera._prnu_gain is None
+    second = camera.record(waveform, duration=0.2, frame_jitter_s=jitter)
+    return first + second
+
+
+class TestDrawAheadByteIdentity:
+    @pytest.mark.parametrize("cap", sorted(_CAPS), ids=str)
+    @pytest.mark.parametrize("chunk", sorted(_CHUNK_SIZES), ids=str)
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS), ids=str)
+    @pytest.mark.parametrize("jitter", [0.0, 0.0015], ids=["no-jitter", "jitter"])
+    def test_engines_agree(self, monkeypatch, modulator8, cap, chunk, scenario, jitter):
+        waveform = _bench_waveform(modulator8)
+        options = dict(_SCENARIOS[scenario])
+        reseed = options.pop("reseed_between", False)
+        reference = _tiny_camera("reference", 8, **options)
+        frames_r = _record_twice(reference, waveform, jitter, reseed)
+
+        monkeypatch.setattr(capture, "_CHUNK_ELEMENTS", _CHUNK_SIZES[chunk])
+        monkeypatch.setattr(capture, "_PLAN_CACHE_MAX_BYTES", _CAPS[cap])
+        batched = _tiny_camera("batched", 8, **options)
+        frames_b = _record_twice(batched, waveform, jitter, reseed)
+
+        _assert_frames_identical(frames_b, frames_r)
+        assert repr(batched.rng.bit_generator.state) == repr(
+            reference.rng.bit_generator.state
+        )
+        assert np.array_equal(batched._prnu_gain, reference._prnu_gain)
+
+    def test_caps_route_as_intended(self, monkeypatch, modulator8):
+        # Pins the premise of the parametrization above: which recordings
+        # each cap sends down the draw-ahead path.
+        waveform = _bench_waveform(modulator8)
+        routes = {}
+        for name, cap in _CAPS.items():
+            monkeypatch.setattr(capture, "_PLAN_CACHE_MAX_BYTES", cap)
+            camera = _tiny_camera("batched", 8)
+            kinds = []
+            for duration in (0.1, 0.2):
+                rec = capture.plan_recording(camera, waveform, duration, 0.0, 0.0)
+                kinds.append(type(rec.draws).__name__)
+                capture.develop_frames(camera, rec)
+            routes[name] = kinds
+        assert routes == {
+            "streamed": ["DrawAheadPlan", "DrawAheadPlan"],
+            "memoized": ["CaptureDrawPlan", "CaptureDrawPlan"],
+            "mixed": ["CaptureDrawPlan", "DrawAheadPlan"],
+        }

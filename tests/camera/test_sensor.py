@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.camera.capture import recording_frame_count
 from repro.camera.sensor import RollingShutterCamera, SensorTiming
 from repro.exceptions import SensorTimingError
 from repro.phy.symbols import data_symbol, off_symbol, white_symbol
@@ -123,6 +124,29 @@ class TestRecord:
     def test_negative_jitter_rejected(self, camera, waveform):
         with pytest.raises(SensorTimingError):
             camera.record(waveform, duration=0.2, frame_jitter_s=-1e-3)
+
+
+class TestFrameCount:
+    """``duration * frame_rate`` products a float ulp short of an integer."""
+
+    @pytest.mark.parametrize(
+        "duration, expected",
+        [(4.1, 123), (8.2, 246), (1 / 30, 1), (1 / 30 * (1 - 1e-6), 0)],
+        ids=["4.1s", "8.2s", "one-period", "under-one-period"],
+    )
+    def test_recording_frame_count(self, duration, expected):
+        assert recording_frame_count(duration, 30.0) == expected
+
+    @pytest.mark.parametrize("duration, expected", [(4.1, 123), (8.2, 246)])
+    def test_record_keeps_the_last_frame(self, camera, waveform, duration, expected):
+        # 4.1 * 30 == 122.99999999999999 in binary floating point.
+        assert len(camera.record(waveform, duration=duration)) == expected
+
+    def test_exactly_one_period_records_one_frame(self, camera, waveform):
+        assert len(camera.record(waveform, duration=1 / 30)) == 1
+
+    def test_just_under_one_period_records_nothing(self, camera, waveform):
+        assert camera.record(waveform, duration=1 / 30 * (1 - 1e-6)) == []
 
 
 class TestAwb:
