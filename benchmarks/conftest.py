@@ -3,7 +3,7 @@
 The Figs 9/10/11 benches and Table 1 all consume the same CSK-order x
 symbol-rate x device sweep; it is expensive (dozens of simulated video
 recordings), so it is computed once per session and cached here.  The grid
-runs through the :mod:`repro.perf` executor — set ``COLORBARS_WORKERS=4``
+runs through the :mod:`repro.perf` runtime — set ``COLORBARS_WORKERS=4``
 to fan the cells out over a process pool (bit-identical to serial).
 
 Every bench prints the same rows/series the paper reports; assertions check
@@ -20,7 +20,7 @@ import pytest
 from repro.camera.devices import DeviceProfile, iphone_5s, nexus_5
 from repro.core.config import SystemConfig
 from repro.link.simulator import LinkResult, RunSpec
-from repro.perf.executor import run_specs
+from repro.perf.executor import make_runner
 
 ORDERS = (4, 8, 16, 32)
 RATES = (1000.0, 2000.0, 3000.0, 4000.0)
@@ -66,7 +66,7 @@ def full_sweep() -> SweepResults:
     """The paper's full evaluation grid, computed once per bench session.
 
     All devices' feasible cells are flattened into one spec list and run
-    through the perf executor, honoring ``COLORBARS_WORKERS``.
+    through the perf runtime, honoring ``COLORBARS_WORKERS``.
     """
     keys: list = []
     specs: list = []
@@ -77,7 +77,7 @@ def full_sweep() -> SweepResults:
                     continue
                 keys.append((device.name, (order, rate)))
                 specs.append(cell_spec(device, order, rate))
-    cells = run_specs(specs)
+    cells = make_runner()(specs)
     results: SweepResults = {}
     for (device_name, cell_key), result in zip(keys, cells):
         results.setdefault(device_name, {})[cell_key] = result

@@ -369,9 +369,9 @@ METRICS: Tuple[MetricEntry, ...] = (
         "quarantine (quarantine is the ladder's last rung).",
     ),
     MetricEntry(
-        M_BACKEND_SHARDS, KIND_COUNTER, "shards", "repro.perf.backends.driver",
-        "Shards submitted to the sweep backend (one per parallel lane "
-        "with work).",
+        M_BACKEND_SHARDS, KIND_GAUGE, "shards", "repro.perf.backends.driver",
+        "Shards the sweep was split into (one per parallel lane with "
+        "work; 0 when every cell was resumed).",
     ),
     MetricEntry(
         M_BACKEND_CELLS, KIND_COUNTER, "cells", "repro.perf.backends.driver",

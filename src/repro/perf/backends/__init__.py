@@ -15,9 +15,11 @@ Importing this package registers the three built-in backends
 from repro.perf.backends.base import (
     BACKEND_REGISTRY,
     CellOutcome,
+    CellTask,
     Shard,
     ShardCell,
     SweepBackend,
+    cell_tasks,
     make_backend,
     parse_backend_spec,
     register_backend,
@@ -38,6 +40,7 @@ from repro.perf.backends.remote import RemoteBackend
 __all__ = [
     "BACKEND_REGISTRY",
     "CellOutcome",
+    "CellTask",
     "InProcessBackend",
     "MergeReport",
     "PoolBackend",
@@ -46,6 +49,7 @@ __all__ = [
     "ShardCell",
     "SweepBackend",
     "assemble_backend_trace",
+    "cell_tasks",
     "existing_shard_journals",
     "make_backend",
     "make_shards",

@@ -9,8 +9,8 @@ journal.  Three implementations ship with the repo —
 * ``inprocess`` (:mod:`repro.perf.backends.inprocess`) — serial, in the
   caller's process: the *reference* every other backend must match
   byte-for-byte;
-* ``pool`` (:mod:`repro.perf.backends.pool`) — the PR 3/4 supervised
-  ``ProcessPoolExecutor`` path behind the interface;
+* ``pool`` (:mod:`repro.perf.backends.pool`) — a supervised
+  ``ProcessPoolExecutor`` on this host;
 * ``remote`` (:mod:`repro.perf.backends.remote`) — subprocess workers
   spoken to over a length-prefixed stdio protocol, the stand-in for
   workers on other hosts (tests and CI run them on localhost).
@@ -23,7 +23,8 @@ is documented in ``docs/BACKENDS.md``; the obligations in one paragraph:
    failures into :class:`~repro.exceptions.CellFailure` outcomes (cause
    ``crash``/``timeout``/``error``) instead of raising; apply the
    :class:`~repro.perf.runtime.RuntimePolicy`'s watchdog, retry, and
-   chaos semantics yourself.
+   chaos semantics yourself (:class:`CellTask` and
+   :func:`~repro.perf.runtime.execute_cell` do most of it).
 2. Append each completed cell to its shard's
    :class:`~repro.perf.runtime.RunJournal` *as it finishes* — a killed
    sweep may only lose in-flight cells.
@@ -85,6 +86,75 @@ class CellOutcome:
     fingerprint: str
     result: Optional[LinkResult] = None
     failure: Optional[CellFailure] = None
+
+
+@dataclass
+class CellTask:
+    """One cell's scheduling state while a backend drains it."""
+
+    shard_id: int
+    cell: ShardCell
+    journal: Optional[RunJournal] = None
+    attempt: int = 1
+    #: Earliest monotonic time the current attempt may start (backoff).
+    ready_at: float = 0.0
+
+    def succeeded(self, result: LinkResult) -> CellOutcome:
+        """Checkpoint ``result`` to the shard journal; its outcome."""
+        if self.journal is not None:
+            self.journal.append(self.cell.fingerprint, result)
+        return CellOutcome(
+            shard_id=self.shard_id,
+            index=self.cell.index,
+            fingerprint=self.cell.fingerprint,
+            result=result,
+        )
+
+    def retry_or_fail(
+        self,
+        policy: RuntimePolicy,
+        cause: str,
+        error_type: str,
+        message: str,
+        now: float,
+    ) -> Optional[CellOutcome]:
+        """Decide a failed attempt: retry (``None``) or the final failure.
+
+        When the policy grants another attempt, ``attempt`` and
+        ``ready_at`` advance and the caller requeues the task; otherwise
+        the cell's final failure outcome comes back.
+        """
+        ready_at = policy.next_attempt_at(self.cell.spec.seed, self.attempt, now)
+        if ready_at is not None:
+            self.attempt += 1
+            self.ready_at = ready_at
+            return None
+        return CellOutcome(
+            shard_id=self.shard_id,
+            index=self.cell.index,
+            fingerprint=self.cell.fingerprint,
+            failure=CellFailure(
+                fingerprint=self.cell.fingerprint,
+                index=self.cell.index,
+                cause=cause,
+                attempts=self.attempt,
+                error_type=error_type,
+                message=message,
+            ),
+        )
+
+
+def cell_tasks(shards: List[Shard]) -> List[CellTask]:
+    """A fresh task per cell of ``shards``, in spec-index order."""
+    tasks: List[CellTask] = []
+    for shard in shards:
+        journal = shard.journal()
+        tasks.extend(
+            CellTask(shard_id=shard.shard_id, cell=cell, journal=journal)
+            for cell in shard.cells
+        )
+    tasks.sort(key=lambda task: task.cell.index)
+    return tasks
 
 
 class SweepBackend:

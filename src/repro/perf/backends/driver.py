@@ -1,13 +1,15 @@
-"""Sharded sweep driver: the half of distribution no backend has to write.
+"""Sharded sweep driver: the one path every sweep runs through.
 
-The driver owns everything above the ``submit_shard / drain / close``
-line, so every backend gets the same semantics for free:
+:func:`repro.perf.runtime.run_specs_resilient` resolves a policy and a
+backend and hands the sweep here.  The driver owns everything above the
+``submit_shard / drain / close`` line, so every backend gets the same
+semantics for free:
 
 * **identity** — each spec's :func:`~repro.perf.runtime.spec_fingerprint`
   is computed here and rides the :class:`~repro.perf.backends.base.ShardCell`;
 * **resume** — leftover shard journals from a killed run are merged into
   the sweep journal first, then journaled cells are spliced into the
-  results unrun, exactly like the single-journal runtime path;
+  results unrun;
 * **sharding** — pending cells round-robin across the backend's lanes
   (cell *i* of the pending list lands in shard ``i % lanes``), a pure
   function of the spec list and lane count, so two runs shard alike;
@@ -24,9 +26,6 @@ are, the sweep's results, journal, and failure records look the same.
 
 from __future__ import annotations
 
-import base64
-import json
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,7 +42,6 @@ from repro.obs.schema import (
 from repro.obs.trace import Span, assemble_sharded_trace
 from repro.perf.backends.base import Shard, ShardCell, SweepBackend
 from repro.perf.runtime import (
-    JOURNAL_SCHEMA_VERSION,
     RunJournal,
     RuntimeResult,
     record_sweep_metrics,
@@ -67,78 +65,6 @@ def existing_shard_journals(journal_path) -> List[Path]:
         return (int(suffix), "") if suffix.isdigit() else (1 << 30, path.name)
 
     return sorted(base.parent.glob(base.name + ".shard-*"), key=shard_number)
-
-
-def _discard_file(path: Path) -> None:
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise JournalError(
-            f"cannot remove shard journal {path}: {exc}"
-        ) from exc
-
-
-def _load_raw_records(path: Path) -> List[Tuple[str, str, LinkResult]]:
-    """(fingerprint, base64 payload, decoded result) per readable record.
-
-    File order is preserved (so last-write-wins within a file behaves like
-    :meth:`RunJournal.load`); unparseable or truncated records are skipped
-    — the affected cell simply reruns — while a schema mismatch is a hard
-    error, both matching the journal's own semantics.
-    """
-    records: List[Tuple[str, str, LinkResult]] = []
-    if not path.exists():
-        return records
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # truncated mid-write; the cell just reruns
-        if not isinstance(record, dict):
-            continue
-        schema = record.get("schema")
-        if schema != JOURNAL_SCHEMA_VERSION:
-            raise JournalError(
-                f"journal {path} has schema {schema!r}, "
-                f"expected {JOURNAL_SCHEMA_VERSION}"
-            )
-        fingerprint = record.get("fingerprint")
-        payload = record.get("result")
-        if not (isinstance(fingerprint, str) and isinstance(payload, str)):
-            continue
-        try:
-            result = pickle.loads(base64.b64decode(payload))
-        except Exception:  # corrupt payload: rerun that cell
-            continue
-        if isinstance(result, LinkResult):
-            records.append((fingerprint, payload, result))
-    return records
-
-
-def _append_raw(journal: RunJournal, fingerprint: str, payload: str) -> None:
-    """Splice one record byte-for-byte (no decode/re-pickle round trip)."""
-    record = {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "fingerprint": fingerprint,
-        "result": payload,
-    }
-    try:
-        with journal.path.open("a", encoding="ascii") as handle:
-            handle.write(json.dumps(record) + "\n")
-            handle.flush()
-    except OSError as exc:
-        raise JournalError(
-            f"cannot append to journal {journal.path}: {exc}"
-        ) from exc
 
 
 @dataclass
@@ -173,13 +99,13 @@ def merge_journals(shard_paths, target, on_conflict: str = "last") -> MergeRepor
         target = RunJournal(target)
     merged: Dict[str, str] = {}
     entries: Dict[str, LinkResult] = {}
-    for fingerprint, payload, result in _load_raw_records(target.path):
+    for fingerprint, payload, result in target.records():
         merged[fingerprint] = payload
         entries[fingerprint] = result
     appended = 0
     conflicts = 0
     for path in shard_paths:
-        for fingerprint, payload, result in _load_raw_records(Path(path)):
+        for fingerprint, payload, result in RunJournal(path).records():
             prior = merged.get(fingerprint)
             if prior == payload:
                 continue
@@ -190,7 +116,7 @@ def merge_journals(shard_paths, target, on_conflict: str = "last") -> MergeRepor
                         f"shard journal {path} disagrees with the merged "
                         f"sweep on cell {fingerprint[:12]}"
                     )
-            _append_raw(target, fingerprint, payload)
+            target.append_record(fingerprint, payload)
             merged[fingerprint] = payload
             entries[fingerprint] = result
             appended += 1
@@ -242,18 +168,17 @@ def run_specs_sharded(
 ) -> RuntimeResult:
     """Execute ``specs`` through a :class:`SweepBackend`, shard by shard.
 
-    The contract mirrors :func:`repro.perf.runtime.run_specs_resilient`
-    (journal path-or-object, ``resume`` splicing, ``metrics`` implies
-    ``observe``) with the execution engine swapped for the backend; the
-    returned :class:`RuntimeResult` additionally carries ``shard_of``
-    (per spec, which shard ran it — ``None`` for resumed cells).  The
-    caller keeps ownership of the backend (close it when done).
+    ``journal`` is a path or :class:`RunJournal`; ``resume`` splices its
+    cells into the results unrun, otherwise it is discarded first.
+    ``observe`` (implied by ``metrics``) observes this sweep's cells
+    without changing the backend's own setting.  The returned
+    :class:`RuntimeResult` carries ``shard_of`` (per spec, which shard
+    ran it — ``None`` for resumed cells).  The caller keeps ownership of
+    the backend (close it when done).
     """
     specs = list(specs)
     if metrics is not None:
         observe = True
-    if observe:
-        backend.observe = True
     if journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
 
@@ -268,7 +193,7 @@ def run_specs_sharded(
         else:
             journal.discard()
         for path in leftovers:
-            _discard_file(path)
+            RunJournal(path).discard()
 
     results: List[Optional[LinkResult]] = [None] * len(specs)
     failures: List[CellFailure] = []
@@ -299,16 +224,24 @@ def run_specs_sharded(
             backend.submit_shard(shard)
             for cell in shard.cells:
                 shard_of[cell.index] = shard.shard_id
-        for outcome in backend.drain():
+        # Observing is per sweep: a caller-owned backend is handed back
+        # observing exactly as it was built.
+        built_observing = backend.observe
+        backend.observe = built_observing or observe
+        try:
+            outcomes = backend.drain()
+        finally:
+            backend.observe = built_observing
+        for outcome in outcomes:
             if outcome.result is not None:
                 results[outcome.index] = outcome.result
             elif outcome.failure is not None:
                 failures.append(outcome.failure)
+        failed = {failure.index for failure in failures}
         holes = [
             cell.index
             for cell in pending
-            if results[cell.index] is None
-            and not any(failure.index == cell.index for failure in failures)
+            if results[cell.index] is None and cell.index not in failed
         ]
         if holes:
             raise BackendError(
@@ -323,7 +256,7 @@ def run_specs_sharded(
             )
             merged_cells += report.appended
             for shard in shards:
-                _discard_file(Path(shard.journal_path))
+                shard.journal().discard()
 
     outcome = RuntimeResult(
         results=results, failures=failures, resumed=resumed, shard_of=shard_of
@@ -338,7 +271,7 @@ def run_specs_sharded(
             workers=backend.lanes,
         )
         metrics.gauge(M_BACKEND_LANES).set(backend.lanes)
-        metrics.counter(M_BACKEND_SHARDS).inc(len(shards))
+        metrics.gauge(M_BACKEND_SHARDS).set(len(shards))
         metrics.counter(M_BACKEND_CELLS).inc(len(pending))
         metrics.counter(M_BACKEND_WORKER_RESTARTS).inc(
             backend.worker_restarts - restarts_before

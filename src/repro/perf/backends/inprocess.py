@@ -1,6 +1,6 @@
 """The serial in-process backend: the reference every backend must match.
 
-Cells run one shard at a time, one cell at a time, in the caller's own
+Cells run one at a time, in spec order, in the caller's own
 process — no pool, no workers, no scheduling freedom — so its result
 table *defines* correct output for the sweep.  ``pool`` and ``remote``
 (and any third-party backend; see ``docs/BACKENDS.md``) are proven by
@@ -10,7 +10,7 @@ Because there is no process boundary, this backend cannot enforce a
 watchdog deadline and must never host process chaos (a ``worker-crash``
 would take the caller down); policies that need isolation are rejected at
 construction.  Per-cell exceptions are still contained and retried per
-the policy, mirroring the runtime's inline path.
+the policy.  This is the engine of every default ``workers=1`` sweep.
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ from __future__ import annotations
 import time
 from typing import List
 
-from repro.exceptions import CellFailure, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.perf.backends.base import (
     CellOutcome,
     Shard,
     SweepBackend,
+    cell_tasks,
     register_backend,
 )
-from repro.perf.executor import _process_cache
-from repro.perf.runtime import RuntimePolicy, _annotate_trace, backoff_delay_s
+from repro.perf.runtime import RuntimePolicy, execute_cell
 
 
 @register_backend
@@ -47,54 +47,24 @@ class InProcessBackend(SweepBackend):
             )
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:
-        cache = _process_cache()
         outcomes: List[CellOutcome] = []
-        for shard in shards:
-            journal = shard.journal()
-            for cell in shard.cells:
-                attempt = 1
-                while True:
-                    try:
-                        result = _annotate_trace(
-                            cell.spec.execute(planner=cache, observe=self.observe),
-                            cell.index,
-                            attempt,
-                        )
-                    except Exception as exc:
-                        if attempt < self.policy.max_attempts:
-                            time.sleep(
-                                backoff_delay_s(
-                                    self.policy, cell.spec.seed, attempt + 1
-                                )
-                            )
-                            attempt += 1
-                            self.cells_retried += 1
-                            continue
-                        outcomes.append(
-                            CellOutcome(
-                                shard_id=shard.shard_id,
-                                index=cell.index,
-                                fingerprint=cell.fingerprint,
-                                failure=CellFailure(
-                                    fingerprint=cell.fingerprint,
-                                    index=cell.index,
-                                    cause="error",
-                                    attempts=attempt,
-                                    error_type=type(exc).__name__,
-                                    message=str(exc),
-                                ),
-                            )
-                        )
-                        break
-                    if journal is not None:
-                        journal.append(cell.fingerprint, result)
-                    outcomes.append(
-                        CellOutcome(
-                            shard_id=shard.shard_id,
-                            index=cell.index,
-                            fingerprint=cell.fingerprint,
-                            result=result,
-                        )
+        for task in cell_tasks(shards):
+            outcome = None
+            while outcome is None:
+                try:
+                    result = execute_cell(
+                        task.cell.index, task.cell.spec, task.attempt,
+                        observe=self.observe,
                     )
-                    break
+                except Exception as exc:
+                    outcome = task.retry_or_fail(
+                        self.policy, "error", type(exc).__name__, str(exc),
+                        time.monotonic(),
+                    )
+                    if outcome is None:
+                        self.cells_retried += 1
+                        time.sleep(max(0.0, task.ready_at - time.monotonic()))
+                else:
+                    outcome = task.succeeded(result)
+            outcomes.append(outcome)
         return outcomes

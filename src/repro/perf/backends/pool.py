@@ -1,49 +1,65 @@
-"""The process-pool backend: PR 3/4's supervised executor behind the interface.
+"""The process-pool backend: a supervised ``ProcessPoolExecutor`` on this host.
 
-This is the same supervised ``ProcessPoolExecutor`` loop the resilient
-runtime has always used — watchdog deadlines, ``BrokenProcessPool``
-containment, innocent-pool-mate resubmission, seed-stable retry — reused
-verbatim (:func:`repro.perf.runtime._run_isolated` is the engine), with
-two backend-contract adaptations:
+Cells from *all* submitted shards feed one pool in spec-index order, so
+lanes stay busy even when shards are unevenly sized, and a sweep
+dispatches its cells side by side in the same order whatever its
+sharding.  The supervision loop adds three protections over a bare
+``pool.map``:
 
-* cells from *all* submitted shards feed one pool, so lanes stay busy
-  even when shards are unevenly sized;
-* journal appends are routed per cell back to the owning shard's journal
-  (the runtime engine sees one duck-typed journal; the router fans out).
+* **watchdog** — a cell's deadline runs from its dispatch to a worker
+  slot (in-flight submissions are capped at the pool width, so queueing
+  never inflates a deadline); an overdue cell is killed with its pool;
+* **crash containment** — a dead worker breaks the pool
+  (``BrokenProcessPool``); the pool is torn down and rebuilt, and the
+  remaining cells continue;
+* **retry** — a failed attempt requeues on the policy's seed-stable
+  backoff schedule until ``max_attempts`` is spent.
+
+Only a cell's own crash, timeout, or error consumes one of its attempts,
+with one documented exception: once a pool breaks, the crasher is
+indistinguishable from its pool-mates, so every in-flight attempt (at
+most the pool width) consumes one.  Pool-mates of a *hung* cell are
+resubmitted at the same attempt number.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.exceptions import CellFailure, ConfigurationError
-from repro.link.simulator import LinkResult
+from repro.exceptions import ConfigurationError
 from repro.perf.backends.base import (
     CellOutcome,
+    CellTask,
     Shard,
     SweepBackend,
+    cell_tasks,
     register_backend,
 )
 from repro.perf.executor import resolve_workers, validate_workers
-from repro.perf.runtime import RunJournal, RuntimePolicy, _Cell, _run_isolated
+from repro.perf.runtime import RuntimePolicy, execute_cell
+
+#: Poll interval of the supervision loop, seconds.
+_TICK_S = 0.1
 
 
-class _ShardJournalRouter:
-    """Duck-typed journal fanning each append out to its cell's shard journal.
+def _teardown_pool(pool: ProcessPoolExecutor) -> None:
+    """Kill a pool hard: terminate every worker, then release the executor.
 
-    The runtime engine journals by calling ``journal.append(fingerprint,
-    result)``; shards each own a separate journal file, so this maps the
-    fingerprint back to the right one.  Cells of unjournaled shards are
-    simply not checkpointed.
+    ``shutdown`` alone cannot clear a hung worker — the hang *is* the
+    running task — so the watchdog terminates the processes first; the
+    executor's management thread then observes the deaths and unblocks.
     """
-
-    def __init__(self, routes: Dict[str, RunJournal]) -> None:
-        self._routes = routes
-
-    def append(self, fingerprint: str, result: LinkResult) -> None:
-        journal = self._routes.get(fingerprint)
-        if journal is not None:
-            journal.append(fingerprint, result)
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except OSError:
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 @register_backend
@@ -82,53 +98,100 @@ class PoolBackend(SweepBackend):
         return cls(policy=policy, workers=workers, observe=observe)
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:
-        cells: List[_Cell] = []
-        routes: Dict[str, RunJournal] = {}
-        for shard in shards:
-            journal = shard.journal()
-            for cell in shard.cells:
-                cells.append(
-                    _Cell(
-                        index=cell.index,
-                        spec=cell.spec,
-                        fingerprint=cell.fingerprint,
-                    )
-                )
-                if journal is not None:
-                    routes[cell.fingerprint] = journal
-
-        # The engine writes results keyed by cell index; a dict satisfies
-        # the same subscript contract as the runtime's dense list.
-        results: Dict[int, LinkResult] = {}
-        failures: List[CellFailure] = []
-        stats = {"retried": 0}
-        _run_isolated(
-            cells,
-            self.lanes,
-            self.policy,
-            _ShardJournalRouter(routes) if routes else None,
-            results,
-            failures,
-            observe=self.observe,
-            stats=stats,
-        )
-        self.cells_retried += stats["retried"]
-
-        failure_by_index = {failure.index: failure for failure in failures}
+        policy = self.policy
+        pending: Deque[CellTask] = deque(cell_tasks(shards))
+        #: In-flight attempts: future -> (task, dispatch time).
+        active: Dict[Future, Tuple[CellTask, float]] = {}
         outcomes: List[CellOutcome] = []
-        for shard in shards:
-            for cell in shard.cells:
-                result = results.get(cell.index)
-                failure = failure_by_index.get(cell.index)
-                if result is None and failure is None:
-                    continue  # a hole; the driver raises on it
-                outcomes.append(
-                    CellOutcome(
-                        shard_id=shard.shard_id,
-                        index=cell.index,
-                        fingerprint=cell.fingerprint,
-                        result=result,
-                        failure=None if result is not None else failure,
+        pool: Optional[ProcessPoolExecutor] = None
+        pool_width = 0
+
+        def retry_or_fail(task: CellTask, cause, error_type, message, now):
+            failed = task.retry_or_fail(policy, cause, error_type, message, now)
+            if failed is None:
+                pending.append(task)
+                self.cells_retried += 1
+            else:
+                outcomes.append(failed)
+
+        try:
+            while pending or active:
+                now = time.monotonic()
+                if pool is None and any(t.ready_at <= now for t in pending):
+                    pool_width = max(1, min(self.lanes, len(pending)))
+                    pool = ProcessPoolExecutor(max_workers=pool_width)
+                while pool is not None and len(active) < pool_width:
+                    task = next((t for t in pending if t.ready_at <= now), None)
+                    if task is None:
+                        break
+                    pending.remove(task)
+                    future = pool.submit(
+                        execute_cell, task.cell.index, task.cell.spec,
+                        task.attempt, policy.chaos, self.observe,
                     )
+                    active[future] = (task, time.monotonic())
+
+                if not active:
+                    # Everything runnable is backing off; sleep to the gate.
+                    wake = min(t.ready_at for t in pending)
+                    time.sleep(max(0.0, min(wake - time.monotonic(), _TICK_S)))
+                    continue
+
+                done, _ = futures_wait(
+                    set(active), timeout=_TICK_S, return_when=FIRST_COMPLETED
                 )
+                now = time.monotonic()
+                pool_broke = False
+                for future in done:
+                    task, _ = active.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        outcomes.append(task.succeeded(future.result()))
+                    elif isinstance(error, BrokenProcessPool):
+                        pool_broke = True
+                        retry_or_fail(
+                            task, "crash", type(error).__name__,
+                            "worker process died", now,
+                        )
+                    else:
+                        retry_or_fail(
+                            task, "error", type(error).__name__, str(error), now
+                        )
+
+                if pool_broke:
+                    # Every other in-flight attempt died with the pool.
+                    for task, _ in active.values():
+                        retry_or_fail(
+                            task, "crash", "BrokenProcessPool",
+                            "worker process died", now,
+                        )
+                    active.clear()
+                    _teardown_pool(pool)
+                    pool = None
+                    continue
+
+                if policy.cell_timeout_s is None:
+                    continue
+                overdue = [
+                    future
+                    for future, (_, started_at) in active.items()
+                    if now - started_at > policy.cell_timeout_s
+                ]
+                if overdue:
+                    for future in overdue:
+                        task, _ = active.pop(future)
+                        retry_or_fail(
+                            task, "timeout", "TimeoutError",
+                            f"cell exceeded {policy.cell_timeout_s:g}s watchdog "
+                            f"deadline on attempt {task.attempt}",
+                            now,
+                        )
+                    # Innocent pool-mates: rerun at the same attempt.
+                    pending.extend(task for task, _ in active.values())
+                    active.clear()
+                    _teardown_pool(pool)
+                    pool = None
+        finally:
+            if pool is not None:
+                _teardown_pool(pool)
         return outcomes

@@ -40,19 +40,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.exceptions import BackendError, CellFailure, ConfigurationError
+from repro.exceptions import BackendError, ConfigurationError
 from repro.link.simulator import LinkResult
 from repro.perf.backends.base import (
     CellOutcome,
+    CellTask,
     Shard,
-    ShardCell,
     SweepBackend,
+    cell_tasks,
     register_backend,
 )
 from repro.perf.backends.remote_worker import FRAME_HEADER
 from repro.perf.backends.remote_worker import write_frame as _write_frame
 from repro.perf.executor import validate_workers
-from repro.perf.runtime import RunJournal, RuntimePolicy, backoff_delay_s
+from repro.perf.runtime import RuntimePolicy
 
 #: Default lane count: two localhost workers, the smallest "distributed" run.
 DEFAULT_REMOTE_WORKERS = 2
@@ -108,18 +109,6 @@ def _read_frame_fd(fd: int, deadline: Optional[float]) -> Any:
 
 
 @dataclass
-class _Task:
-    """One cell's scheduling state while the drain runs it."""
-
-    shard_id: int
-    cell: ShardCell
-    journal: Optional[RunJournal]
-    attempt: int = 1
-    #: Earliest monotonic time the next attempt may dispatch (backoff).
-    not_before: float = 0.0
-
-
-@dataclass
 class _DrainState:
     """Shared work list and results of one drain, guarded by ``cond``."""
 
@@ -127,13 +116,13 @@ class _DrainState:
     cond: threading.Condition = field(
         default_factory=lambda: threading.Condition(threading.Lock())
     )
-    tasks: List[_Task] = field(default_factory=list)
+    tasks: List[CellTask] = field(default_factory=list)
     outcomes: List[CellOutcome] = field(default_factory=list)
     remaining: int = 0
     retried: int = 0
     restarts: int = 0
 
-    def take(self) -> Optional[_Task]:
+    def take(self) -> Optional[CellTask]:
         """Next ready task, blocking through backoff gaps; ``None`` when done."""
         with self.cond:
             while True:
@@ -142,62 +131,38 @@ class _DrainState:
                 now = time.monotonic()
                 wake: Optional[float] = None
                 for task in self.tasks:
-                    if task.not_before <= now:
+                    if task.ready_at <= now:
                         self.tasks.remove(task)
                         return task
                     wake = (
-                        task.not_before
+                        task.ready_at
                         if wake is None
-                        else min(wake, task.not_before)
+                        else min(wake, task.ready_at)
                     )
                 timeout = (
                     _TICK_S if wake is None else min(max(wake - now, 0.01), _TICK_S)
                 )
                 self.cond.wait(timeout)
 
-    def resolve_success(self, task: _Task, result: LinkResult) -> None:
+    def resolve_success(self, task: CellTask, result: LinkResult) -> None:
         with self.cond:
-            if task.journal is not None:
-                task.journal.append(task.cell.fingerprint, result)
-            self.outcomes.append(
-                CellOutcome(
-                    shard_id=task.shard_id,
-                    index=task.cell.index,
-                    fingerprint=task.cell.fingerprint,
-                    result=result,
-                )
-            )
+            self.outcomes.append(task.succeeded(result))
             self.remaining -= 1
             self.cond.notify_all()
 
     def resolve_failure(
-        self, task: _Task, cause: str, error_type: str, message: str
+        self, task: CellTask, cause: str, error_type: str, message: str
     ) -> None:
         """Requeue for the next attempt, or record the final failure."""
         with self.cond:
-            if task.attempt < self.policy.max_attempts:
-                task.not_before = time.monotonic() + backoff_delay_s(
-                    self.policy, task.cell.spec.seed, task.attempt + 1
-                )
-                task.attempt += 1
+            failed = task.retry_or_fail(
+                self.policy, cause, error_type, message, time.monotonic()
+            )
+            if failed is None:
                 self.tasks.append(task)
                 self.retried += 1
             else:
-                self.outcomes.append(
-                    CellOutcome(
-                        shard_id=task.shard_id,
-                        index=task.cell.index,
-                        fingerprint=task.cell.fingerprint,
-                        failure=CellFailure(
-                            fingerprint=task.cell.fingerprint,
-                            index=task.cell.index,
-                            cause=cause,
-                            attempts=task.attempt,
-                            error_type=error_type,
-                            message=message,
-                        ),
-                    )
-                )
+                self.outcomes.append(failed)
                 self.remaining -= 1
             self.cond.notify_all()
 
@@ -326,13 +291,7 @@ class RemoteBackend(SweepBackend):
     # -- drain -------------------------------------------------------------
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:
-        state = _DrainState(policy=self.policy)
-        for shard in shards:
-            journal = shard.journal()
-            for cell in shard.cells:
-                state.tasks.append(
-                    _Task(shard_id=shard.shard_id, cell=cell, journal=journal)
-                )
+        state = _DrainState(policy=self.policy, tasks=cell_tasks(shards))
         state.remaining = len(state.tasks)
         if not state.remaining:
             return []
@@ -382,7 +341,7 @@ class RemoteBackend(SweepBackend):
                 self._retire_worker(worker)
 
     def _run_task(
-        self, worker: subprocess.Popen, task: _Task, state: _DrainState
+        self, worker: subprocess.Popen, task: CellTask, state: _DrainState
     ) -> bool:
         """Dispatch one cell; returns whether the worker is still usable."""
         try:

@@ -9,7 +9,8 @@ by a pickled tuple:
 * worker -> parent on startup: ``("hello", pid)`` — the readiness
   handshake;
 * parent -> worker: ``("cell", index, spec, attempt, chaos, observe)`` —
-  execute one cell (chaos injectors first, exactly like a pool worker);
+  execute one cell through :func:`repro.perf.runtime.execute_cell`
+  (chaos injectors first, exactly like a pool worker);
 * worker -> parent: ``("ok", index, result)`` on success, or
   ``("err", index, error_type, message)`` when the cell raised;
 * parent -> worker: ``("exit",)`` — drain finished, terminate cleanly.
@@ -72,8 +73,7 @@ def worker_main(
     """Serve cells until ``("exit",)`` or EOF; returns the exit status."""
     # Imported here (not at module top) so the protocol helpers stay
     # importable without dragging in the whole simulation stack.
-    from repro.perf.executor import _process_cache
-    from repro.perf.runtime import _annotate_trace
+    from repro.perf.runtime import execute_cell
 
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
@@ -81,7 +81,6 @@ def worker_main(
         write_frame(stdout, ("hello", os.getpid()))
     except OSError:
         return 0  # parent already gone
-    cache = _process_cache()
     while True:
         message = read_frame(stdin)
         if message is None:
@@ -92,11 +91,7 @@ def worker_main(
         if kind == "cell":
             _, index, spec, attempt, chaos, observe = message
             try:
-                for injector in chaos:
-                    injector.before_cell(cell_index=index, attempt=attempt)
-                result = _annotate_trace(
-                    spec.execute(planner=cache, observe=observe), index, attempt
-                )
+                result = execute_cell(index, spec, attempt, chaos, observe)
                 response = ("ok", index, result)
             except Exception as exc:
                 response = ("err", index, type(exc).__name__, str(exc))

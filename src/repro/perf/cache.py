@@ -78,8 +78,9 @@ class PlanCache:
 
     Instances satisfy the :data:`repro.link.simulator.Planner` contract
     (they are callable), so one cache can be handed to many
-    :class:`~repro.link.simulator.LinkSimulator` runs — the serial executor
-    path shares one per sweep, the process-pool path one per worker.
+    :class:`~repro.link.simulator.LinkSimulator` runs — every sweep process
+    (the caller, each pool worker, each remote worker) shares one, see
+    :func:`process_cache`.
 
     Entries are evicted FIFO beyond ``max_entries``, bounding memory for
     long heterogeneous sweeps.  ``hits``/``misses`` expose effectiveness.
@@ -129,6 +130,19 @@ class PlanCache:
     def stats(self) -> Dict[str, int]:
         """Effectiveness snapshot: hits, misses, and resident entries."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._entries)}
+
+
+#: The plan cache of this process: one per sweep caller, pool worker, or
+#: remote worker, reused across every cell that process executes.
+_PROCESS_CACHE: Optional[PlanCache] = None
+
+
+def process_cache() -> PlanCache:
+    """This process's shared :class:`PlanCache`, created on first use."""
+    global _PROCESS_CACHE
+    if _PROCESS_CACHE is None:
+        _PROCESS_CACHE = PlanCache()
+    return _PROCESS_CACHE
 
 
 def _copy_plan(plan: TransmissionPlan) -> TransmissionPlan:

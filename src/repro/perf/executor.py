@@ -1,31 +1,21 @@
-"""Parallel sweep executor: independent seeded cells over a process pool.
+"""Sweep worker counts, and the ``Runner`` adapter over the runtime.
 
-Every artifact sweep in this reproduction — the Figs 9-11 grids, the fleet
-study, the resilience matrix — is a list of
-:class:`~repro.link.simulator.RunSpec` cells, each deriving *all* of its
-randomness from its own ``(seed, cell)`` tuple.  Cells therefore share no
-state, and executing them in worker processes is bit-identical to the
-serial loop by construction: the same spec runs the same code against the
-same seed either way, and result order is the spec order.
-
-``workers=1`` (the default, also via the ``COLORBARS_WORKERS`` environment
-switch) keeps everything in-process and serial.  Both paths share one
-:class:`~repro.perf.cache.PlanCache` per process, so fleet/resilience runs
-stop rebuilding the identical RS-encoded broadcast for every device/fault
-cell.
+How many processes a sweep uses is resolved here, in one place:
+``--workers``, the ``COLORBARS_WORKERS`` environment switch, and the
+``workers=`` backend option all go through :func:`validate_workers`, and
+:func:`resolve_workers` clamps a pool to the cells it will run.
+``workers=1`` (the default) keeps a sweep serial and in-process.  The
+execution itself is :func:`repro.perf.runtime.run_specs_resilient`;
+:func:`make_runner` adapts it to the link layer's ``Runner`` contract.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.camera.devices import DeviceProfile
-from repro.exceptions import ConfigurationError
-from repro.link.multi import FleetReport, broadcast_to_fleet
-from repro.link.simulator import LinkResult, RunSpec, Runner, sweep
-from repro.perf.cache import PlanCache
+from repro.exceptions import ConfigurationError, LinkError
+from repro.link.simulator import LinkResult, RunSpec, Runner
 
 #: Environment switch: ``COLORBARS_WORKERS=4`` parallelizes every sweep that
 #: does not pin an explicit worker count.
@@ -85,81 +75,25 @@ def default_workers() -> int:
     return validate_workers(raw.strip(), source=WORKERS_ENV)
 
 
-#: Per-process plan cache for pool workers: one per forked/spawned worker,
-#: reused across every cell that worker executes.
-_WORKER_CACHE: Optional[PlanCache] = None
-
-
-def _process_cache() -> PlanCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = PlanCache()
-    return _WORKER_CACHE
-
-
-def _execute_spec(spec: RunSpec) -> LinkResult:
-    """Top-level (picklable) cell entry point for pool workers."""
-    return spec.execute(planner=_process_cache())
-
-
-def _execute_spec_observed(spec: RunSpec) -> LinkResult:
-    """Observed variant: the worker ships its trace back on the result."""
-    return spec.execute(planner=_process_cache(), observe=True)
-
-
-def run_specs(
-    specs: Sequence[RunSpec],
-    workers: Optional[int] = None,
-    observe: bool = False,
-) -> List[LinkResult]:
-    """Execute ``specs`` and return results in spec order.
-
-    ``workers=None`` consults :func:`default_workers`; ``1`` runs serially
-    in-process (with a shared plan cache); ``>= 2`` fans cells out to a
-    process pool.  Both paths produce byte-identical results.
-
-    ``observe=True`` records each cell into a cell-local tracer/registry
-    (attached to the results as ``trace``/``obs_metrics``); observation is
-    per-cell measurement metadata and cannot change any result.
-    """
-    specs = list(specs)
-    workers = resolve_workers(workers, cell_count=len(specs))
-    if workers == 1 or len(specs) <= 1:
-        cache = _process_cache()
-        return [spec.execute(planner=cache, observe=observe) for spec in specs]
-    entry = _execute_spec_observed if observe else _execute_spec
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(entry, specs))
-
-
 def make_runner(workers: Optional[int] = None, observe: bool = False) -> Runner:
-    """A :data:`~repro.link.simulator.Runner` bound to a worker count.
+    """A :data:`~repro.link.simulator.Runner` over the resilient runtime.
 
     Inject into :func:`repro.link.simulator.sweep`,
     :func:`repro.link.multi.broadcast_to_fleet`, or any other spec-based
     sweep: ``sweep(device, runner=make_runner(4))``.  ``observe=True``
     makes every executed cell carry its span trace and metrics export
-    (``result.trace`` / ``result.obs_metrics``), ready for
-    :func:`repro.obs.assemble_trace` / ``MetricsRegistry.merge_export``.
+    (``result.trace`` / ``result.obs_metrics``).  The ``Runner`` contract
+    has no room for a missing result, so a failed cell raises
+    :class:`~repro.exceptions.LinkError`.
     """
 
     def runner(specs: Sequence[RunSpec]) -> List[LinkResult]:
-        return run_specs(specs, workers=workers, observe=observe)
+        # Imported here: the runtime imports this module for resolve_workers.
+        from repro.perf.runtime import run_specs_resilient
+
+        outcome = run_specs_resilient(specs, workers=workers, observe=observe)
+        if outcome.failures:
+            raise LinkError(f"sweep cell failed: {outcome.failures[0].describe()}")
+        return outcome.results
 
     return runner
-
-
-def parallel_sweep(
-    device: DeviceProfile, workers: Optional[int] = None, **sweep_kwargs
-) -> Dict[Tuple[int, float], LinkResult]:
-    """The Figs 9-11 grid through the executor; see :func:`~repro.link.simulator.sweep`."""
-    return sweep(device, runner=make_runner(workers), **sweep_kwargs)
-
-
-def parallel_fleet(
-    devices: Sequence[DeviceProfile],
-    workers: Optional[int] = None,
-    **fleet_kwargs,
-) -> FleetReport:
-    """The §8 fleet broadcast through the executor; see :func:`~repro.link.multi.broadcast_to_fleet`."""
-    return broadcast_to_fleet(devices, runner=make_runner(workers), **fleet_kwargs)

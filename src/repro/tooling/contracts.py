@@ -8,7 +8,7 @@ Four cross-module invariants the per-file rules cannot see:
   banned primitive *transitively* through a helper defined in an
   unconstrained layer (``util``/``obs``).
 * **pickle-safety** — callables crossing the executor boundary
-  (``run_specs``/``make_runner``/``run_specs_resilient``/``pool.submit``)
+  (``make_runner``/``run_specs_resilient``/``pool.submit``)
   must be module-top-level, and the executor payload dataclass (``RunSpec``)
   must be built from picklable fields, transitively.
 * **obs-schema** — every span/metric name reaching a tracer or registry must
@@ -220,7 +220,7 @@ class PickleSafetyRule(ContractRule):
 
     rule_id = "pickle-safety"
     description = (
-        "callables handed to the sweep executor (run_specs/make_runner/"
+        "callables handed to the sweep executor (make_runner/"
         "run_specs_resilient/pool.submit) must be module-top-level, and"
         " executor payload dataclasses (RunSpec) must have picklable fields"
     )

@@ -41,7 +41,6 @@ OBS_METHODS = frozenset({"span", "counter", "gauge", "histogram"})
 #: Functions whose callable arguments cross the process-pool boundary.
 EXECUTOR_BOUNDARY_FUNCS = frozenset(
     {
-        "repro.perf.executor.run_specs",
         "repro.perf.executor.make_runner",
         "repro.perf.runtime.run_specs_resilient",
         "repro.link.simulator.execute_specs",

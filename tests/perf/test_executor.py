@@ -1,9 +1,9 @@
-"""Executor equivalence: worker pools are bit-identical to the serial loop."""
+"""Worker counts, and the Runner adapter: pools bit-identical to serial."""
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, LinkError
 from repro.faults import make_injector
 from repro.link.simulator import RunSpec, sweep
 from repro.perf.executor import (
@@ -11,7 +11,6 @@ from repro.perf.executor import (
     default_workers,
     make_runner,
     resolve_workers,
-    run_specs,
     validate_workers,
 )
 
@@ -89,8 +88,8 @@ class TestWorkerValidation:
 class TestEquivalence:
     def test_parallel_matches_serial(self, tiny_device):
         specs = [_spec(tiny_device, seed=3), _spec(tiny_device, seed=4)]
-        serial = run_specs(specs, workers=1)
-        parallel = run_specs(specs, workers=2)
+        serial = [spec.execute() for spec in specs]
+        parallel = make_runner(2)(specs)
         _assert_results_identical(serial, parallel)
 
     def test_parallel_matches_serial_with_faults(self, tiny_device):
@@ -102,20 +101,20 @@ class TestEquivalence:
                 faults=[make_injector("scanline-corruption", 0.2)],
             ),
         ]
-        serial = run_specs(specs, workers=1)
-        parallel = run_specs(specs, workers=2)
+        serial = [spec.execute() for spec in specs]
+        parallel = make_runner(2)(specs)
         for result in serial:
             assert result.fault_schedule.events
         _assert_results_identical(serial, parallel)
 
     def test_single_spec_stays_in_process(self, tiny_device):
         # One cell never justifies pool startup; results still come back.
-        (result,) = run_specs([_spec(tiny_device, seed=1)], workers=8)
+        (result,) = make_runner(8)([_spec(tiny_device, seed=1)])
         assert result.metrics.duration_s == pytest.approx(0.6)
 
     def test_bad_worker_count_rejected(self, tiny_device):
         with pytest.raises(ConfigurationError):
-            run_specs([_spec(tiny_device)], workers=0)
+            make_runner(0)([_spec(tiny_device)])
 
 
 class TestRunnerInjection:
@@ -130,8 +129,14 @@ class TestRunnerInjection:
             assert direct[key].metrics == injected[key].metrics
             assert direct[key].report.payloads == injected[key].report.payloads
 
+    def test_failed_cell_raises(self, tiny_device):
+        # 1 ns cannot hold one symbol, so the cell raises in execute; the
+        # Runner contract has no slot for a missing result.
+        with pytest.raises(LinkError, match="sweep cell failed"):
+            make_runner(1)([_spec(tiny_device, duration_s=1e-9)])
+
     def test_timings_recorded_per_cell(self, tiny_device):
-        (result,) = run_specs([_spec(tiny_device)], workers=1)
+        (result,) = make_runner(1)([_spec(tiny_device)])
         stages = result.timings.as_dict()
         for stage in ("tx-plan", "record", "inject", "decode", "metrics"):
             assert stage in stages

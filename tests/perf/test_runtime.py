@@ -9,7 +9,6 @@ from repro.exceptions import ConfigurationError, JournalError
 from repro.faults import make_injector
 from repro.faults.chaos import CellHangChaos, SlowCellChaos, WorkerCrashChaos
 from repro.link.simulator import RunSpec
-from repro.perf.executor import run_specs
 from repro.perf.runtime import (
     CELL_TIMEOUT_ENV,
     RunJournal,
@@ -121,7 +120,7 @@ class TestBackoff:
 class TestEquivalence:
     def test_inline_matches_fast_path(self, tiny_device):
         specs = [_spec(tiny_device, seed=3), _spec(tiny_device, seed=4)]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         outcome = run_specs_resilient(specs, workers=1)
         assert not outcome.degraded
         assert outcome.resumed == 0
@@ -131,7 +130,7 @@ class TestEquivalence:
         specs = [
             _spec(tiny_device, seed=3, faults=[make_injector("frame-drop", 0.3)])
         ]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         outcome = run_specs_resilient(specs, workers=1)
         assert baseline[0].fault_schedule.events
         _assert_results_identical(baseline, outcome.results)
@@ -139,7 +138,7 @@ class TestEquivalence:
     def test_slow_cell_under_deadline_is_byte_identical(self, tiny_device):
         # Chaos that merely delays a cell must not change its result.
         specs = [_spec(tiny_device, seed=5)]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         outcome = run_specs_resilient(
             specs,
             workers=1,
@@ -153,7 +152,7 @@ class TestEquivalence:
 
     def test_zero_intensity_chaos_is_byte_identical(self, tiny_device):
         specs = [_spec(tiny_device, seed=5)]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         outcome = run_specs_resilient(
             specs,
             workers=1,
@@ -195,7 +194,7 @@ class TestCrashContainment:
         assert chaos.triggers(0, 1) and not chaos.triggers(0, 2)
 
         specs = [_spec(tiny_device, seed=6)]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         outcome = run_specs_resilient(
             specs,
             workers=1,
@@ -255,7 +254,7 @@ class TestErrorContainment:
 class TestJournalResume:
     def test_resume_is_byte_identical_to_uninterrupted(self, tiny_device, tmp_path):
         specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         journal = tmp_path / "sweep.jsonl"
 
         # "Kill" the sweep after two cells, then resume the full grid.
@@ -277,7 +276,7 @@ class TestJournalResume:
                 faults=[make_injector("scanline-corruption", 0.2)],
             ),
         ]
-        baseline = run_specs(specs, workers=1)
+        baseline = [spec.execute() for spec in specs]
         journal = tmp_path / "sweep.jsonl"
         run_specs_resilient(specs[:1], workers=1, journal=journal)
         resumed = run_specs_resilient(

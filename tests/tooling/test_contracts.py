@@ -164,16 +164,16 @@ class TestPickleSafetyRule:
             {
                 "pkg/repro/link/driver.py": '''
                     """F."""
-                    from repro.perf.executor import run_specs
+                    from repro.perf.runtime import run_specs_resilient
 
                     def go(specs):
-                        return run_specs(specs, runner=lambda s: s)
+                        return run_specs_resilient(specs, runner=lambda s: s)
                 ''',
             },
         )
         assert len(findings) == 1
         assert "lambda" in findings[0].message
-        assert "run_specs" in findings[0].message
+        assert "run_specs_resilient" in findings[0].message
 
     def test_nested_function_runner_is_flagged(self):
         findings = findings_for(

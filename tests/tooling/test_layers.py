@@ -159,7 +159,7 @@ class TestAppLayerExemption:
             '''
             """F."""
             from repro.rx.receiver import ColorBarsReceiver
-            from repro.perf.executor import run_specs
+            from repro.perf.runtime import run_specs_resilient
             from repro.tooling import lint_tree
             ''',
         )

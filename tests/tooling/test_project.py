@@ -209,7 +209,7 @@ class TestProjectResolution:
 
     def test_real_tree_indexes_key_symbols(self):
         project = build_project(PACKAGE_ROOT, cache=AnalysisCache())
-        assert "repro.perf.executor.run_specs" in project.functions
+        assert "repro.perf.runtime.run_specs_resilient" in project.functions
         assert project.resolve("repro.link.simulator.RunSpec") in project.classes
 
 
