@@ -47,8 +47,7 @@ from repro.camera.noise import SensorNoise
 from repro.camera.optics import Optics, cached_vignette_map
 from repro.color.srgb import xyz_to_linear_rgb
 from repro.exceptions import SensorTimingError
-from repro.obs.schema import M_FRAMES_RECORDED, SPAN_CAPTURE
-from repro.obs.trace import NULL_TRACER
+from repro.obs.schema import M_FRAMES_RECORDED
 from repro.phy.waveform import OpticalWaveform
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive
@@ -337,9 +336,10 @@ class RollingShutterCamera:
         positions cycle after cycle (the paper leans on exactly this
         "unsynchronization", §5).
 
-        ``tracer``/``metrics`` (see :mod:`repro.obs`) emit one ``capture``
-        span per frame and count recorded frames; the no-op defaults keep
-        the loop on the fast path.
+        ``metrics`` (see :mod:`repro.obs`) counts recorded frames.  No span
+        is opened per frame: the caller's ``record`` span times the whole
+        recording, so ``tracer`` is accepted for call-site symmetry with
+        the receiver and records nothing here.
 
         Recording runs the vectorized capture engine (:mod:`repro.camera.
         capture`): a sequential prologue threads jitter drift, AE, and AWB
@@ -360,21 +360,18 @@ class RollingShutterCamera:
             raise SensorTimingError(
                 f"frame_jitter_s must be >= 0, got {frame_jitter_s}"
             )
-        tracer = tracer if tracer is not None else NULL_TRACER
         frames: List[CapturedFrame] = []
         rec = plan_recording(self, waveform, duration, start_time, frame_jitter_s)
         if rec is not None:
             if self.capture_path == "reference":
                 for i in range(rec.frame_count):
-                    with tracer.span(SPAN_CAPTURE, frame=i):
-                        frames.append(
-                            self._assemble_frame(rec, i, develop_frame(self, rec, i))
-                        )
+                    frames.append(
+                        self._assemble_frame(rec, i, develop_frame(self, rec, i))
+                    )
             else:
                 pixels = develop_frames(self, rec)
                 for i in range(rec.frame_count):
-                    with tracer.span(SPAN_CAPTURE, frame=i):
-                        frames.append(self._assemble_frame(rec, i, pixels[i]))
+                    frames.append(self._assemble_frame(rec, i, pixels[i]))
         if metrics is not None:
             metrics.counter(M_FRAMES_RECORDED).inc(len(frames))
         return frames

@@ -117,25 +117,12 @@ def _observability(args) -> "tuple":
     return bool(trace_path) or bool(metrics_target), registry
 
 
-def _emit_trace(path, outcome, root_attributes, backend=None) -> None:
-    """Assemble per-cell traces (spec order) and write the JSONL file.
-
-    Sweeps on an explicit ``--backend`` group cells under per-shard spans
-    (root -> shard -> cell); otherwise cells hang directly under the
-    sweep root.
-    """
-    if backend is not None:
-        from repro.perf.backends import assemble_backend_trace
-
-        spans = assemble_backend_trace(
-            outcome, backend.name, backend.lanes,
-            root_attributes=root_attributes,
-        )
-    else:
-        spans = assemble_trace(
-            [getattr(result, "trace", None) for result in outcome.results],
-            root_attributes=root_attributes,
-        )
+def _emit_trace(path, outcome, root_attributes) -> None:
+    """Assemble per-cell traces (spec order) under one root; write JSONL."""
+    spans = assemble_trace(
+        [getattr(result, "trace", None) for result in outcome.results],
+        root_attributes=root_attributes,
+    )
     write_trace(path, spans)
     print(f"trace  : wrote {len(spans)} span(s) to {path}")
 
@@ -274,10 +261,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if backend is not None:
             backend.close()
     if args.trace:
-        _emit_trace(
-            args.trace, outcome, {"device": device.name, "workers": workers},
-            backend=backend,
-        )
+        root = {"device": device.name, "workers": workers}
+        if backend is not None:
+            root.update(backend=backend.name, lanes=backend.lanes)
+        _emit_trace(args.trace, outcome, root)
     if registry is not None:
         _emit_metrics(registry, args.metrics)
     results = dict(zip(specs, outcome.results))
@@ -529,17 +516,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 2
     if args.name:
         named = [span for span in spans if span.name == args.name]
+        if not named:
+            print(
+                f"colorbars trace: no '{args.name}' span among "
+                f"{len(spans)} span(s)",
+                file=sys.stderr,
+            )
+            return 1
         total = sum(span.duration_s for span in named)
         print(
             f"{len(named)} '{args.name}' span(s) of {len(spans)}; "
             f"total {total:.3f} s"
         )
-        if named:
-            durations = [span.duration_s for span in named]
-            print(
-                f"mean {total / len(named):.4f} s, "
-                f"min {min(durations):.4f} s, max {max(durations):.4f} s"
-            )
+        durations = [span.duration_s for span in named]
+        print(
+            f"mean {total / len(named):.4f} s, "
+            f"min {min(durations):.4f} s, max {max(durations):.4f} s"
+        )
         return 0
     lines = format_span_tree(spans) if args.tree else summarize_spans(spans)
     for line in lines:

@@ -52,7 +52,6 @@ from repro.link.workloads import text_payload
 from repro.phy.waveform import EXTEND_CYCLE, OpticalWaveform
 from repro.rx.receiver import ReceiverReport
 from repro.util.rng import derive_rng, make_rng
-from repro.util.stopwatch import StageTimings
 from repro.util.validation import require_positive
 
 #: A planner maps ``(config, payload)`` to a ready transmission plan and its
@@ -60,6 +59,17 @@ from repro.util.validation import require_positive
 #: implementation lives in :class:`repro.perf.cache.PlanCache` (injected, so
 #: the link layer never imports the perf layer).
 Planner = Callable[[SystemConfig, bytes], Tuple[TransmissionPlan, OpticalWaveform]]
+
+
+@dataclass
+class RunTimings:
+    """Wall-clock seconds per pipeline stage of one run, in stage order.
+
+    Read off the durations of the run's stage spans (the direct children
+    of its ``cell`` span), so a stage is timed exactly once.
+    """
+
+    stages: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -75,7 +85,7 @@ class LinkResult:
     fault_schedule: FaultSchedule = field(default_factory=FaultSchedule)
     #: Wall-clock per pipeline stage; measurement metadata, excluded from
     #: equality so timed runs still compare bit-identical.
-    timings: StageTimings = field(default_factory=StageTimings, compare=False)
+    timings: RunTimings = field(default_factory=RunTimings, compare=False)
     #: Span tuple recorded by an observed run (``RunSpec.execute(observe=
     #: True)``); measurement metadata like ``timings``, excluded from
     #: equality, ``None`` when the run was not observed.
@@ -158,8 +168,8 @@ class LinkSimulator:
         #: receiver sees it (see :mod:`repro.faults`).
         self.faults = tuple(faults or ())
         self.planner = planner
-        #: Injected observability (see :mod:`repro.obs`): spans mirror the
-        #: stage timings, and the no-op defaults keep the hot path clean.
+        #: Injected observability (see :mod:`repro.obs`); the no-op
+        #: defaults keep the per-frame hot path clean.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
 
@@ -173,17 +183,18 @@ class LinkSimulator:
         if payload is None:
             payload = text_payload(3 * self.config.rs_params().k, seed=self.seed)
 
-        timings = StageTimings()
-        with self.tracer.span(
+        # Stage spans are the run's only clock: an unobserved run records
+        # its cell and stage spans into a run-local tracer, while camera
+        # and receiver keep the injected (no-op) one.
+        tracer = self.tracer if self.tracer.enabled else Tracer()
+        with tracer.span(
             SPAN_CELL,
             device=self.device.name,
             order=self.config.csk_order,
             rate=float(self.config.symbol_rate),
             seed=str(self.seed),
-        ):
-            with timings.measure("tx-plan"), self.tracer.span(
-                SPAN_TX_PLAN
-            ) as span:
+        ) as cell:
+            with tracer.span(SPAN_TX_PLAN) as span:
                 plan, waveform = self._plan_and_waveform(payload, span)
 
             profile = DeviceProfile(
@@ -196,9 +207,7 @@ class LinkSimulator:
             camera = profile.make_camera(
                 simulated_columns=self.simulated_columns, seed=self.seed
             )
-            with timings.measure("record"), self.tracer.span(
-                SPAN_RECORD
-            ) as span:
+            with tracer.span(SPAN_RECORD) as span:
                 frames = camera.record(
                     waveform,
                     duration=duration_s,
@@ -211,9 +220,7 @@ class LinkSimulator:
                     f"duration {duration_s}s too short for one frame at "
                     f"{profile.timing.frame_rate} fps"
                 )
-            with timings.measure("inject"), self.tracer.span(
-                SPAN_INJECT
-            ) as span:
+            with tracer.span(SPAN_INJECT) as span:
                 frames, schedule = self._inject_faults(frames)
                 for key, value in schedule.span_attributes().items():
                     span.set(key, value)
@@ -224,9 +231,9 @@ class LinkSimulator:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-            with timings.measure("decode"), self.tracer.span(SPAN_DECODE):
+            with tracer.span(SPAN_DECODE):
                 report = receiver.process_frames(frames)
-            with timings.measure("metrics"), self.tracer.span(SPAN_METRICS):
+            with tracer.span(SPAN_METRICS):
                 matches = align_ground_truth(
                     report.bands, plan.symbols, waveform
                 )
@@ -237,9 +244,14 @@ class LinkSimulator:
                     payload_bytes_per_packet=self.config.rs_params().k,
                     duration_s=duration_s,
                 )
+        stages = {
+            span.name: span.duration_s
+            for span in tracer.spans()
+            if span.parent_id == cell.span_id
+        }
         self.metrics.counter(M_RUNS_COMPLETED).inc()
         self.metrics.counter(M_FAULTS_INJECTED).inc(len(schedule))
-        self.metrics.histogram(M_RUN_WALL_SECONDS).observe(timings.total())
+        self.metrics.histogram(M_RUN_WALL_SECONDS).observe(cell.duration_s)
         return LinkResult(
             config=self.config,
             device_name=self.device.name,
@@ -248,7 +260,7 @@ class LinkSimulator:
             plan=plan,
             matches=matches,
             fault_schedule=schedule,
-            timings=timings,
+            timings=RunTimings(stages),
         )
 
     def record_session(

@@ -31,12 +31,10 @@ KIND_HISTOGRAM = "histogram"
 # -- span names ------------------------------------------------------------
 
 SPAN_SWEEP = "sweep"
-SPAN_SHARD = "shard"
 SPAN_CELL = "cell"
 SPAN_TX_PLAN = "tx-plan"
 SPAN_WAVEFORM = "waveform"
 SPAN_RECORD = "record"
-SPAN_CAPTURE = "capture"
 SPAN_INJECT = "inject"
 SPAN_DECODE = "decode"
 SPAN_SEGMENT = "segment"
@@ -120,19 +118,16 @@ SPANS: Tuple[SpanEntry, ...] = (
     SpanEntry(
         SPAN_SWEEP, "(root)", "repro.obs.trace",
         "One assembled sweep trace; every per-cell trace is re-parented "
-        "under it in spec order (a `colorbars run` is a one-cell sweep).",
-    ),
-    SpanEntry(
-        SPAN_SHARD, SPAN_SWEEP, "repro.obs.trace",
-        "One backend shard of a sweep: the cells assigned to one parallel "
-        "lane, adopted in spec order (in backend-driven sweeps `cell` "
-        "spans nest here instead of directly under the sweep root); "
-        "backend name, shard index, and cell count as attributes.",
+        "under it in spec order, whatever the backend or lane count (a "
+        "`colorbars run` is a one-cell sweep); an explicit `--backend` "
+        "adds `backend` and `lanes` attributes.",
     ),
     SpanEntry(
         SPAN_CELL, SPAN_SWEEP, "repro.link.simulator",
         "One end-to-end link run (one sweep cell): device, CSK order, "
-        "symbol rate, seed, cell index, and attempt number as attributes.",
+        "symbol rate, seed, cell index, attempt number, and the shard that "
+        "ran it (`resumed` for journaled cells) as attributes; its direct "
+        "children are the stages `LinkResult.timings` reports.",
     ),
     SpanEntry(
         SPAN_TX_PLAN, SPAN_CELL, "repro.link.simulator",
@@ -147,12 +142,8 @@ SPANS: Tuple[SpanEntry, ...] = (
     ),
     SpanEntry(
         SPAN_RECORD, SPAN_CELL, "repro.link.simulator",
-        "The full camera recording: every captured frame nests below.",
-    ),
-    SpanEntry(
-        SPAN_CAPTURE, SPAN_RECORD, "repro.camera.sensor",
-        "One rolling-shutter frame exposure+readout; `frame` attribute "
-        "is the frame index.",
+        "The full camera recording, with no per-frame children; `frames` "
+        "attribute is the frame count.",
     ),
     SpanEntry(
         SPAN_INJECT, SPAN_CELL, "repro.link.simulator",
@@ -293,7 +284,7 @@ METRICS: Tuple[MetricEntry, ...] = (
     ),
     MetricEntry(
         M_RUN_WALL_SECONDS, KIND_HISTOGRAM, "seconds", "repro.link.simulator",
-        "Wall-clock of one end-to-end run (sum of its stage timings).",
+        "Wall-clock of one end-to-end run (its `cell` span's duration).",
     ),
     MetricEntry(
         M_FRAME_BANDS, KIND_HISTOGRAM, "bands", "repro.rx.receiver",

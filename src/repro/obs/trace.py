@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TraceError
-from repro.obs.schema import SPAN_SHARD, SPAN_SWEEP, TRACE_SCHEMA_VERSION
+from repro.obs.schema import SPAN_SWEEP, TRACE_SCHEMA_VERSION
 
 
 @dataclass
@@ -209,66 +209,6 @@ def assemble_trace(
     return list(tracer.spans())
 
 
-def assemble_sharded_trace(
-    shard_groups: Sequence[
-        Tuple[Dict[str, object], Sequence[Optional[Sequence[Span]]]]
-    ],
-    root_name: str = SPAN_SWEEP,
-    root_attributes: Optional[Dict[str, object]] = None,
-    shard_name: str = SPAN_SHARD,
-) -> List[Span]:
-    """One trace from a backend-driven sweep: root -> shard spans -> cells.
-
-    ``shard_groups`` is ``(shard attributes, cell traces)`` per shard, in
-    shard order, each group's traces in *spec order* — so the assembled
-    tree depends only on the sharding plan, never on which lane finished
-    first.  Cells adopt under their shard's synthetic span instead of
-    directly under the sweep root; durations sum upward (shards and cells
-    may run concurrently, so wall clocks add, they do not nest).
-    """
-    tracer = Tracer()
-    root = Span(
-        name=root_name,
-        span_id=1,
-        parent_id=None,
-        start_s=0.0,
-        attributes=dict(root_attributes or {}),
-    )
-    tracer._spans.append(root)
-    tracer._next_id = 2
-    total_cells = 0
-    total = 0.0
-    for shard_attributes, cell_traces in shard_groups:
-        shard_span = Span(
-            name=shard_name,
-            span_id=tracer._next_id,
-            parent_id=root.span_id,
-            start_s=0.0,
-            attributes=dict(shard_attributes or {}),
-        )
-        tracer._next_id += 1
-        tracer._spans.append(shard_span)
-        cells = 0
-        shard_total = 0.0
-        for trace in cell_traces:
-            if not trace:
-                continue
-            cells += 1
-            adopted = tracer.adopt(list(trace), parent=shard_span)
-            shard_total += sum(
-                s.duration_s
-                for s in adopted
-                if s.parent_id == shard_span.span_id
-            )
-        shard_span.duration_s = shard_total
-        shard_span.set("cells", cells)
-        total_cells += cells
-        total += shard_total
-    root.duration_s = total
-    root.set("cells", total_cells)
-    return list(tracer.spans())
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -412,9 +352,12 @@ def format_span_tree(spans: Sequence[Span], max_spans: int = 200) -> List[str]:
     """Indented tree lines (depth-first, appearance order), capped."""
     children = _children_map(spans)
     lines: List[str] = []
+    skipped = False
 
     def walk(span: Span, depth: int) -> None:
+        nonlocal skipped
         if len(lines) >= max_spans:
+            skipped = True
             return
         attrs = ""
         if span.attributes:
@@ -430,6 +373,6 @@ def format_span_tree(spans: Sequence[Span], max_spans: int = 200) -> List[str]:
 
     for root in children.get(None, []):
         walk(root, 0)
-    if len(lines) >= max_spans:
+    if skipped:
         lines.append(f"... ({len(spans)} spans total; tree capped)")
     return lines

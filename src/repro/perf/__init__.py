@@ -25,8 +25,9 @@ resolves the policy and the backend, and the sharded driver
 * :mod:`repro.perf.bench` — the pinned ``colorbars bench`` micro-sweep
   whose JSON report (``BENCH_colorbars.json``) tracks the perf trajectory.
 
-Stage timings themselves live in :mod:`repro.util.stopwatch` (the bottom
-layer) so the link layer can attach them without importing this package.
+Stage timings are not kept here: ``LinkResult.timings`` is read off each
+run's own stage spans (:mod:`repro.link.simulator`), and the bench sums
+those per-cell stages into its ``stages_s`` breakdown.
 """
 
 from repro.perf.bench import (

@@ -26,7 +26,6 @@ from repro.perf.backends.base import (
 )
 from repro.perf.backends.driver import (
     MergeReport,
-    assemble_backend_trace,
     existing_shard_journals,
     make_shards,
     merge_journals,
@@ -48,7 +47,6 @@ __all__ = [
     "Shard",
     "ShardCell",
     "SweepBackend",
-    "assemble_backend_trace",
     "cell_tasks",
     "existing_shard_journals",
     "make_backend",

@@ -16,9 +16,10 @@ semantics for free:
 * **merge** — after ``drain``, :func:`merge_journals` splices the shard
   journals back into one sweep journal (byte-splicing records, never
   re-pickling) and the shard files are removed;
-* **observability** — ``colorbars.backend.*`` metrics and the
-  root -> shard -> cell trace via
-  :func:`repro.obs.trace.assemble_sharded_trace`.
+* **observability** — ``colorbars.backend.*`` metrics, and each
+  observed cell's root span stamped with the ``shard`` that ran it
+  (``"resumed"`` for journaled cells), so one root -> cell trace shape
+  (:func:`repro.obs.trace.assemble_trace`) serves every backend.
 
 Backends only execute cells; the driver guarantees that whatever they
 are, the sweep's results, journal, and failure records look the same.
@@ -39,7 +40,6 @@ from repro.obs.schema import (
     M_BACKEND_SHARDS,
     M_BACKEND_WORKER_RESTARTS,
 )
-from repro.obs.trace import Span, assemble_sharded_trace
 from repro.perf.backends.base import Shard, ShardCell, SweepBackend
 from repro.perf.runtime import (
     RunJournal,
@@ -158,6 +158,16 @@ def make_shards(
 # -- the drive -------------------------------------------------------------
 
 
+def _stamp_shard(result: LinkResult, shard) -> None:
+    """Record on an observed cell's root span which shard ran it.
+
+    Attributes only, like ``cell_index``/``attempt``: the span tree stays
+    a pure function of the specs whatever the lane count.
+    """
+    if result.trace:
+        result.trace[0].set("shard", shard)
+
+
 def run_specs_sharded(
     specs: Sequence[RunSpec],
     backend: SweepBackend,
@@ -203,6 +213,7 @@ def run_specs_sharded(
         fingerprint = spec_fingerprint(spec)
         prior = journaled.get(fingerprint)
         if prior is not None:
+            _stamp_shard(prior, "resumed")
             results[index] = prior
             resumed += 1
         else:
@@ -234,6 +245,7 @@ def run_specs_sharded(
             backend.observe = built_observing
         for outcome in outcomes:
             if outcome.result is not None:
+                _stamp_shard(outcome.result, shard_of[outcome.index])
                 results[outcome.index] = outcome.result
             elif outcome.failure is not None:
                 failures.append(outcome.failure)
@@ -278,39 +290,3 @@ def run_specs_sharded(
         )
         metrics.counter(M_BACKEND_MERGED_CELLS).inc(merged_cells)
     return outcome
-
-
-def assemble_backend_trace(
-    outcome: RuntimeResult,
-    backend_name: str,
-    lanes: int,
-    root_attributes: Optional[Dict[str, object]] = None,
-) -> List[Span]:
-    """The sweep's root -> shard -> cell trace, in sharding-plan order.
-
-    Cells group by the shard that ran them (``outcome.shard_of``), in
-    spec order within each group; cells satisfied from the resume journal
-    carry no shard and group under a trailing ``shard: resumed`` span.
-    """
-    by_shard: Dict[Optional[int], List[Optional[Sequence[Span]]]] = {}
-    shard_of = outcome.shard_of or [None] * len(outcome.results)
-    for index, result in enumerate(outcome.results):
-        trace = getattr(result, "trace", None) if result is not None else None
-        by_shard.setdefault(shard_of[index], []).append(trace)
-    groups = []
-    for shard_id in sorted(
-        by_shard, key=lambda s: (s is None, s if s is not None else 0)
-    ):
-        groups.append(
-            (
-                {
-                    "backend": backend_name,
-                    "shard": "resumed" if shard_id is None else shard_id,
-                },
-                by_shard[shard_id],
-            )
-        )
-    root_attrs = dict(root_attributes or {})
-    root_attrs.setdefault("backend", backend_name)
-    root_attrs.setdefault("lanes", lanes)
-    return assemble_sharded_trace(groups, root_attributes=root_attrs)

@@ -38,7 +38,6 @@ from repro.exceptions import BenchError
 from repro.link.simulator import LinkResult, RunSpec
 from repro.perf.runtime import RuntimePolicy, run_specs_resilient
 from repro.util.clock import wall_clock
-from repro.util.stopwatch import StageTimings
 
 #: Bump when the report layout changes; validators check it exactly.
 #: v2 added ``failures`` (resilient-runtime cell failures during the bench)
@@ -306,10 +305,11 @@ def run_bench(
         parallel_wall = time.perf_counter() - parallel_start
         parallel_failures = len(parallel.failures)
 
-    stages = StageTimings()
+    stages: Dict[str, float] = {}
     for result in serial.results:
         if result is not None:
-            stages.merge(result.timings)
+            for stage, seconds in result.timings.stages.items():
+                stages[stage] = stages.get(stage, 0.0) + seconds
 
     adapt_entry = adaptive_vs_fixed_entry(quick=quick)
 
@@ -330,7 +330,7 @@ def run_bench(
         "failures": len(serial.failures) + parallel_failures,
         "history": [],
         "stages_s": {
-            stage: round(seconds, 4) for stage, seconds in stages.as_dict().items()
+            stage: round(seconds, 4) for stage, seconds in stages.items()
         },
         "wall_clock_s": {
             "serial": round(serial_wall, 4),

@@ -2,12 +2,16 @@
 
 import pytest
 
+import repro.camera.sensor as sensor_module
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkMetrics
 from repro.core.system import TransmissionPlan
 from repro.link.simulator import LinkResult, LinkSimulator, sweep
 from repro.link.workloads import text_payload
+from repro.obs.trace import Tracer
 from repro.rx.receiver import ReceiverReport
+
+STAGES = ["tx-plan", "record", "inject", "decode", "metrics"]
 
 
 @pytest.fixture
@@ -56,6 +60,60 @@ class TestRun:
     def test_invalid_duration(self, config, tiny_device):
         with pytest.raises(Exception):
             LinkSimulator(config, tiny_device).run(duration_s=0)
+
+
+def _children(spans, parent):
+    return [span for span in spans if span.parent_id == parent.span_id]
+
+
+class TestStageTimings:
+    def test_observed_stages_are_the_cell_spans_children(
+        self, config, tiny_device
+    ):
+        tracer = Tracer()
+        result = LinkSimulator(
+            config, tiny_device, seed=0, tracer=tracer
+        ).run(duration_s=0.5)
+        spans = tracer.spans()
+        stages = _children(spans, spans[0])
+        assert [span.name for span in stages] == STAGES
+        assert list(result.timings.stages.items()) == [
+            (span.name, span.duration_s) for span in stages
+        ]
+
+    def test_each_run_reads_its_own_cell(self, config, tiny_device):
+        # One injected tracer holding two runs: each result's stages are
+        # the children of its own cell span, selected by id.
+        tracer = Tracer()
+        simulator = LinkSimulator(config, tiny_device, seed=0, tracer=tracer)
+        results = [simulator.run(duration_s=0.5) for _ in range(2)]
+        spans = tracer.spans()
+        cells = [span for span in spans if span.parent_id is None]
+        assert len(cells) == 2
+        for result, cell in zip(results, cells):
+            assert result.timings.stages == {
+                span.name: span.duration_s for span in _children(spans, cell)
+            }
+
+    def test_unobserved_run_times_every_stage(self, config, tiny_device):
+        result = LinkSimulator(config, tiny_device, seed=0).run(duration_s=0.5)
+        assert list(result.timings.stages) == STAGES
+        assert all(seconds >= 0.0 for seconds in result.timings.stages.values())
+        assert result.timings.stages["record"] > 0.0
+
+    @pytest.mark.parametrize("path", ["batched", "reference"])
+    def test_record_has_no_children(
+        self, path, config, tiny_device, monkeypatch
+    ):
+        monkeypatch.setattr(sensor_module, "DEFAULT_CAPTURE_PATH", path)
+        tracer = Tracer()
+        result = LinkSimulator(
+            config, tiny_device, seed=0, tracer=tracer
+        ).run(duration_s=0.5)
+        spans = tracer.spans()
+        (record,) = [span for span in spans if span.name == "record"]
+        assert _children(spans, record) == []
+        assert record.attributes["frames"] == result.report.frames_processed
 
 
 class TestRecoveredBroadcast:

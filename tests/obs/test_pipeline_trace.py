@@ -168,6 +168,22 @@ class TestCliExport:
         # records the *effective* one (a 1-cell sweep clamps the pool to 1).
         assert exported["gauges"][M_SWEEP_WORKERS] == 1.0
 
+    def test_backend_sweep_trace_is_root_to_cell(self, tmp_path, capsys):
+        trace_path = tmp_path / "backend-trace.jsonl"
+        code = main(
+            ["sweep", "--orders", "4", "--rates", "1000", "--duration", "0.4",
+             "--backend", "inprocess", "--trace", str(trace_path)]
+        )
+        assert code == 0
+        spans = read_trace(trace_path)
+        root = spans[0]
+        assert root.name == SPAN_SWEEP
+        assert root.attributes["backend"] == "inprocess"
+        assert root.attributes["lanes"] == 1
+        cells = [s for s in spans if s.parent_id == root.span_id]
+        assert [s.name for s in cells] == [SPAN_CELL]
+        assert cells[0].attributes["shard"] == 0
+
     def test_run_trace_is_a_one_cell_sweep(self, tmp_path, capsys):
         trace_path = tmp_path / "run-trace.jsonl"
         code = main(
@@ -207,7 +223,7 @@ class TestTraceCli:
         assert main(["trace", str(trace_file)]) == 0
         out = capsys.readouterr().out
         assert "span(s)" in out
-        assert "capture" in out
+        assert "record" in out
 
     def test_tree_view(self, trace_file, capsys):
         assert main(["trace", str(trace_file), "--tree"]) == 0
@@ -216,10 +232,16 @@ class TestTraceCli:
         assert "  cell" in out
 
     def test_name_filter(self, trace_file, capsys):
-        assert main(["trace", str(trace_file), "--name", "capture"]) == 0
+        assert main(["trace", str(trace_file), "--name", "record"]) == 0
         out = capsys.readouterr().out
-        assert "'capture' span(s)" in out
+        assert "'record' span(s)" in out
         assert "mean" in out
+
+    def test_name_filter_without_match_exits_1(self, trace_file, capsys):
+        assert main(["trace", str(trace_file), "--name", "no-such-span"]) == 1
+        captured = capsys.readouterr()
+        assert "no 'no-such-span' span" in captured.err
+        assert captured.out == ""
 
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "ghost.jsonl")]) == 2

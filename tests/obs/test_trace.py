@@ -64,6 +64,20 @@ class TestTracer:
         children = [s for s in spans if s.parent_id == cell.span_id]
         assert sum(c.duration_s for c in children) <= cell.duration_s + 1e-6
 
+    def test_span_closes_when_body_raises(self):
+        # Stage timings are span durations, so a failing stage must still
+        # be timed and must not leave its span open for the next one.
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            with tracer.span("decode"):
+                sum(range(1000))
+                raise RuntimeError("boom")
+        with tracer.span("next"):
+            pass
+        failed, following = tracer.spans()
+        assert failed.duration_s > 0.0
+        assert following.parent_id is None
+
     def test_sibling_roots_allowed(self):
         tracer = Tracer()
         with tracer.span("a"):
@@ -206,3 +220,9 @@ class TestAnalysis:
         capped = format_span_tree(spans, max_spans=2)
         assert len(capped) == 3
         assert "capped" in capped[-1]
+
+    def test_format_tree_exactly_at_cap_is_not_capped(self):
+        spans = _sample_trace()
+        lines = format_span_tree(spans, max_spans=len(spans))
+        assert len(lines) == len(spans)
+        assert not any("capped" in line for line in lines)

@@ -3,8 +3,9 @@
 The byte-identity contract is over *deterministic content* — metrics,
 decoded payloads, the symbol plan, the fault schedule — not whole-result
 pickles: ``LinkResult.timings`` is wall-clock, and pickle memoization of
-shared references inside ``config`` differs across process round trips
-even between the repo's own inline and isolated legacy paths.
+shared references inside ``config`` differs across process round trips,
+so the same cell pickles differently from the ``inprocess`` backend and
+from a ``pool`` worker.
 """
 
 import base64
@@ -24,6 +25,8 @@ from repro.core.config import SystemConfig
 from repro.exceptions import BackendError, ConfigurationError, JournalError
 from repro.faults.chaos import WorkerCrashChaos, WorkerPartitionChaos
 from repro.link.simulator import RunSpec
+from repro.obs import assemble_trace, tree_signature
+from repro.obs.schema import SPAN_CELL, SPAN_SWEEP
 from repro.perf.backends import (
     BACKEND_REGISTRY,
     InProcessBackend,
@@ -31,7 +34,6 @@ from repro.perf.backends import (
     Shard,
     ShardCell,
     SweepBackend,
-    assemble_backend_trace,
     existing_shard_journals,
     make_backend,
     make_shards,
@@ -488,29 +490,40 @@ class TestKilledSweepResume:
 
 
 class TestBackendTrace:
-    def test_root_shard_cell_hierarchy(self, tiny_device):
-        with make_backend("pool:workers=2") as backend:
-            outcome = run_specs_sharded(
-                _specs(tiny_device), backend, observe=True
-            )
-        spans = assemble_backend_trace(outcome, backend.name, backend.lanes)
-        root = spans[0]
-        assert root.attributes["backend"] == "pool"
-        assert root.attributes["lanes"] == 2
-        shard_spans = [s for s in spans if s.parent_id == root.span_id]
-        assert [s.attributes["shard"] for s in shard_spans] == [0, 1]
-
-    def test_resumed_cells_group_under_trailing_span(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+    def test_one_tree_shape_for_every_backend_and_resume(
+        self, tiny_device, tmp_path
+    ):
         specs = _specs(tiny_device)
-        RunJournal(journal).append(
-            spec_fingerprint(specs[2]), specs[2].execute(observe=True)
-        )
+        outcomes = {
+            "default": run_specs_resilient(specs, workers=2, observe=True)
+        }
+        for spec in ("inprocess", "pool:workers=2", "remote:workers=2"):
+            with make_backend(spec) as backend:
+                outcomes[spec] = run_specs_sharded(specs, backend, observe=True)
+        journal = tmp_path / "sweep.jsonl"
         with make_backend("inprocess") as backend:
-            outcome = run_specs_sharded(
+            run_specs_sharded(specs[2:], backend, journal=journal, observe=True)
+        with make_backend("pool:workers=2") as backend:
+            outcomes["resumed"] = run_specs_sharded(
                 specs, backend, journal=journal, resume=True, observe=True
             )
-        spans = assemble_backend_trace(outcome, backend.name, backend.lanes)
-        root = spans[0]
-        shard_spans = [s for s in spans if s.parent_id == root.span_id]
-        assert shard_spans[-1].attributes["shard"] == "resumed"
+        assert outcomes["resumed"].resumed == 1
+
+        signatures = {
+            name: tree_signature(
+                assemble_trace([r.trace for r in outcome.results])
+            )
+            for name, outcome in outcomes.items()
+        }
+        ((root, cells),) = signatures["default"]
+        assert root == SPAN_SWEEP
+        assert [cell[0] for cell in cells] == [SPAN_CELL] * len(specs)
+        assert set(signatures.values()) == {signatures["default"]}
+
+        for outcome in outcomes.values():
+            assert [r.trace[0].attributes["shard"] for r in outcome.results] == [
+                "resumed" if shard is None else shard
+                for shard in outcome.shard_of
+            ]
+        assert outcomes["remote:workers=2"].shard_of == [0, 1, 0]
+        assert outcomes["resumed"].shard_of == [0, 1, None]

@@ -137,7 +137,6 @@ class TestRunnerInjection:
 
     def test_timings_recorded_per_cell(self, tiny_device):
         (result,) = make_runner(1)([_spec(tiny_device)])
-        stages = result.timings.as_dict()
-        for stage in ("tx-plan", "record", "inject", "decode", "metrics"):
-            assert stage in stages
-        assert result.timings.total() > 0
+        stages = result.timings.stages
+        assert list(stages) == ["tx-plan", "record", "inject", "decode", "metrics"]
+        assert sum(stages.values()) > 0

@@ -118,6 +118,10 @@ class TestBackoff:
 
 
 class TestEquivalence:
+    """A default ``workers=1`` sweep (the ``inprocess`` backend, called
+    "inline" in the test names) equals a bare ``spec.execute()`` loop (the
+    "fast path") cell for cell."""
+
     def test_inline_matches_fast_path(self, tiny_device):
         specs = [_spec(tiny_device, seed=3), _spec(tiny_device, seed=4)]
         baseline = [spec.execute() for spec in specs]
