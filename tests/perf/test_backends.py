@@ -490,6 +490,42 @@ class TestKilledSweepResume:
 
 
 class TestBackendTrace:
+    def test_root_shard_cell_hierarchy(self, tiny_device):
+        """Cells sit directly under the root; each names the shard that ran it."""
+        with make_backend("pool:workers=2") as backend:
+            outcome = run_specs_sharded(
+                _specs(tiny_device), backend, observe=True
+            )
+            spans = assemble_trace(
+                [r.trace for r in outcome.results],
+                root_attributes={"backend": backend.name, "lanes": backend.lanes},
+            )
+        root = spans[0]
+        assert root.name == SPAN_SWEEP
+        assert root.attributes["backend"] == "pool"
+        assert root.attributes["lanes"] == 2
+        cell_spans = [s for s in spans if s.parent_id == root.span_id]
+        assert [s.name for s in cell_spans] == [SPAN_CELL] * 3
+        assert [s.attributes["shard"] for s in cell_spans] == [0, 1, 0]
+        assert outcome.shard_of == [0, 1, 0]
+
+    def test_resumed_cells_group_under_trailing_span(self, tiny_device, tmp_path):
+        """A resumed cell keeps its spec position and is marked ``resumed``."""
+        journal = tmp_path / "sweep.jsonl"
+        specs = _specs(tiny_device)
+        RunJournal(journal).append(
+            spec_fingerprint(specs[2]), specs[2].execute(observe=True)
+        )
+        with make_backend("inprocess") as backend:
+            outcome = run_specs_sharded(
+                specs, backend, journal=journal, resume=True, observe=True
+            )
+        spans = assemble_trace([r.trace for r in outcome.results])
+        root = spans[0]
+        cell_spans = [s for s in spans if s.parent_id == root.span_id]
+        assert [s.attributes["shard"] for s in cell_spans] == [0, 0, "resumed"]
+        assert outcome.shard_of == [0, 0, None]
+
     def test_one_tree_shape_for_every_backend_and_resume(
         self, tiny_device, tmp_path
     ):
